@@ -7,10 +7,16 @@
 //! * **SERVE-DIFF** — seeded random programs and database slices are
 //!   round-tripped through a live server (HTTP parse → admission →
 //!   scheduled execution → JSON response) and the response must agree
-//!   *byte-for-byte* with direct `FinInterp`/`HsInterp` evaluation
-//!   under the same budget: completed runs match on the rendered
-//!   result, fuel exhaustion maps to 408, runtime errors to 422, and
-//!   analyzer rejections to 422 with `"status":"rejected"`. Any
+//!   *byte-for-byte* with direct from-scratch `FinInterp`/`HsInterp`
+//!   evaluation under the same budget: completed runs match on the
+//!   rendered result, fuel exhaustion maps to 408, runtime errors to
+//!   422, and analyzer rejections to 422 with `"status":"rejected"`.
+//!   The server runs eligible loops semi-naively, which uses less
+//!   fuel; when it completes a round the oracle ran out of fuel on,
+//!   the oracle re-runs at `fuel_max` and must give the same result.
+//!   Union-biased rounds and single-source reach rounds along random
+//!   paths, appended after the original rounds, put eligible loops on
+//!   the wire; the longer paths exercise that re-run. Any
 //!   `"violation"` field in a response (a proved bound contradicted at
 //!   runtime, or a cache hit failing its differential check) fails the
 //!   row outright.
@@ -29,9 +35,9 @@
 
 use crate::gen::{self, ProgShape};
 use crate::ledger::{CheckCtx, CheckDef};
-use recdb_core::{FiniteStructure, Schema};
+use recdb_core::{Elem, FiniteStructure, Schema};
 use recdb_hsdb::{unary_cells, CellSize};
-use recdb_qlhs::{Dialect, FinInterp, HsInterp, Permutation, Val};
+use recdb_qlhs::{Dialect, FinInterp, HsInterp, Permutation, Prog, Term, Val};
 use recdb_serve::admit::{admit, Admission, AdmitLimits, AdmitOutcome, Plan};
 use recdb_serve::exec::{run_scheduled, Budget, ExecEnd, GuardEval};
 use recdb_serve::json::esc;
@@ -124,20 +130,39 @@ fn cells_db_json(cells: &[CellSize]) -> String {
     format!("{{\"kind\":\"cells\",\"cells\":[{}]}}", parts.join(","))
 }
 
-/// Runs an admitted program directly, under exactly the budget the
-/// server would grant it.
-fn direct_run<B: GuardEval<V = Val>>(b: &mut B, dialect: Dialect, a: &Admission) -> ExecEnd<Val> {
-    let (bounds, cap, fuel) = match &a.plan {
+/// Runs an admitted program directly on the from-scratch path (the
+/// oracle: semi-naive off), under exactly the budget the server would
+/// grant it, or under `fuel` when given.
+fn direct_run<B: GuardEval<V = Val>>(
+    b: &mut B,
+    dialect: Dialect,
+    a: &Admission,
+    fuel: Option<u64>,
+) -> ExecEnd<Val> {
+    b.set_seminaive(false);
+    let (bounds, cap, granted) = match &a.plan {
         Plan::Exact { iterations, bounds } => (bounds.clone(), *iterations, LIMITS.fuel_max),
         Plan::Fueled { fuel } => (BTreeMap::new(), u64::MAX, *fuel),
     };
     let budget = Budget {
         bounds: &bounds,
         total_cap: cap,
-        fuel,
+        fuel: fuel.unwrap_or(granted),
         work_cap: None,
     };
     run_scheduled(b, dialect, &a.prog, &budget, &AtomicBool::new(false)).end
+}
+
+/// The oracle's outcome for one round, given the server's response.
+/// The server's semi-naive loops use less fuel than the from-scratch
+/// oracle, so a round that exhausts the oracle's fuel may complete on
+/// the server. The oracle then re-runs at `fuel_max`, and the server's
+/// answer must equal that run's byte for byte.
+fn oracle(resp: &Response, run: impl Fn(Option<u64>) -> ExecEnd<Val>) -> ExecEnd<Val> {
+    match run(None) {
+        ExecEnd::OutOfFuel if resp.status == 200 => run(Some(LIMITS.fuel_max)),
+        end => end,
+    }
 }
 
 /// Compares one server response against the direct outcome. Returns
@@ -202,77 +227,25 @@ fn serve_diff(ctx: &mut CheckCtx) -> Result<(), String> {
     let server = start_server()?;
     let addr = server.addr();
     let mut compared = 0usize;
-
-    // Finite backend: random graphs under QL.
-    let fin_shape = ProgShape {
-        rels: 1,
-        vars: 3,
-        allow_singleton: false,
-        allow_finite: false,
-        consts: 4,
-        union_bias: false,
-    };
+    // Finite backend: random graphs under QL; then homogeneous-set
+    // backend: random unary-cell layouts under QLhs. The union-biased
+    // rounds come last, so the earlier rounds' draws are unchanged;
+    // they put semi-naive-eligible loops on the wire.
     for round in 0..40 {
-        ctx.family("random-finite-graph");
-        let st = gen::random_finite_graph(ctx.rng(), 6);
-        let src = gen::random_prog(ctx.rng(), 2, 3, &fin_shape).to_string();
-        let body = format!(
-            "{{\"program\":\"{}\",\"db\":{},\"fuel\":{ROUND_FUEL}}}",
-            esc(&src),
-            finite_db_json(&st)
-        );
-        let resp = round_trip(addr, &body, &format!("fin round {round}"))?;
-        let direct = match admit(&src, st.schema(), Dialect::Ql, Some(ROUND_FUEL), &LIMITS) {
-            AdmitOutcome::Admitted(a) => {
-                let mut interp = FinInterp::new(&st);
-                interp.set_seminaive(true);
-                Some(direct_run(&mut interp, Dialect::Ql, &a))
-            }
-            AdmitOutcome::Rejected { .. } => None,
-        };
-        compared += usize::from(check_round(
-            &format!("fin round {round} [{}]", compact(&src)),
-            &resp,
-            direct.as_ref(),
-        )?);
+        compared += usize::from(fin_round(ctx, addr, &format!("fin round {round}"), false)?);
     }
-
-    // Homogeneous-set backend: random unary-cell layouts under QLhs.
     for round in 0..30 {
-        ctx.family("unary-cells");
-        let cells = random_cells(ctx);
-        let shape = ProgShape {
-            rels: cells.len(),
-            vars: 3,
-            allow_singleton: true,
-            allow_finite: false,
-            consts: 4,
-            union_bias: false,
-        };
-        let src = gen::random_prog(ctx.rng(), 2, 3, &shape).to_string();
-        let body = format!(
-            "{{\"program\":\"{}\",\"db\":{},\"fuel\":{ROUND_FUEL}}}",
-            esc(&src),
-            cells_db_json(&cells)
-        );
-        let resp = round_trip(addr, &body, &format!("hs round {round}"))?;
-        let schema = Schema::new(vec![1usize; cells.len()]);
-        let direct = match admit(&src, &schema, Dialect::Qlhs, Some(ROUND_FUEL), &LIMITS) {
-            AdmitOutcome::Admitted(a) => {
-                let hs = unary_cells(cells.clone());
-                let mut interp = HsInterp::new(&hs);
-                interp.set_seminaive(true);
-                Some(direct_run(&mut interp, Dialect::Qlhs, &a))
-            }
-            AdmitOutcome::Rejected { .. } => None,
-        };
-        compared += usize::from(check_round(
-            &format!("hs round {round} [{}]", compact(&src)),
-            &resp,
-            direct.as_ref(),
-        )?);
+        compared += usize::from(hs_round(ctx, addr, &format!("hs round {round}"), false)?);
     }
-
+    for round in 0..40 {
+        compared += usize::from(fin_round(ctx, addr, &format!("fin∪ round {round}"), true)?);
+    }
+    for round in 0..30 {
+        compared += usize::from(hs_round(ctx, addr, &format!("hs∪ round {round}"), true)?);
+    }
+    for round in 0..16 {
+        compared += usize::from(reach_round(ctx, addr, &format!("reach round {round}"))?);
+    }
     if compared < 10 {
         return Err(format!(
             "only {compared} rounds byte-compared a completed result (wanted ≥ 10); \
@@ -280,6 +253,126 @@ fn serve_diff(ctx: &mut CheckCtx) -> Result<(), String> {
         ));
     }
     Ok(())
+}
+
+/// One SERVE-DIFF round on a random graph under QL; `Ok(true)` when it
+/// byte-compared a completed result.
+fn fin_round(
+    ctx: &mut CheckCtx,
+    addr: SocketAddr,
+    label: &str,
+    union_bias: bool,
+) -> Result<bool, String> {
+    let shape = ProgShape {
+        rels: 1,
+        vars: 3,
+        allow_singleton: false,
+        allow_finite: false,
+        consts: 4,
+        union_bias,
+    };
+    ctx.family("random-finite-graph");
+    let st = gen::random_finite_graph(ctx.rng(), 6);
+    let src = gen::random_prog(ctx.rng(), 2, 3, &shape).to_string();
+    let body = format!(
+        "{{\"program\":\"{}\",\"db\":{},\"fuel\":{ROUND_FUEL}}}",
+        esc(&src),
+        finite_db_json(&st)
+    );
+    let resp = round_trip(addr, &body, label)?;
+    let direct = match admit(&src, st.schema(), Dialect::Ql, Some(ROUND_FUEL), &LIMITS) {
+        AdmitOutcome::Admitted(a) => Some(oracle(&resp, |fuel| {
+            direct_run(&mut FinInterp::new(&st), Dialect::Ql, &a, fuel)
+        })),
+        AdmitOutcome::Rejected { .. } => None,
+    };
+    check_round(
+        &format!("{label} [{}]", compact(&src)),
+        &resp,
+        direct.as_ref(),
+    )
+}
+
+/// One SERVE-DIFF round of single-source reach along a randomly
+/// labelled path of 4–27 nodes: the loop shape the server runs
+/// semi-naively. On the longer paths the from-scratch oracle exhausts
+/// `ROUND_FUEL` where the server completes.
+fn reach_round(ctx: &mut CheckCtx, addr: SocketAddr, label: &str) -> Result<bool, String> {
+    ctx.family("random-path");
+    let n = 4 + ctx.rng().gen_range(0, 24);
+    let perm = Permutation::random(ctx.rng(), n);
+    let node = |i: u64| perm.apply(Elem(i)).value();
+    let edges = (0..n - 1).map(|i| (node(i), node(i + 1)));
+    let st = FiniteStructure::undirected_graph(0..n, edges);
+    let (s, t) = (node(0), node(n - 1));
+    let union = |v: usize, x: Term| Prog::assign(v, Term::Var(v).union(x));
+    let prog = Prog::seq([
+        Prog::assign(1, Term::Const(s)),
+        Prog::assign(2, Term::Const(s).and(Term::Const(t))),
+        Prog::WhileEmpty(
+            2,
+            Box::new(Prog::seq([
+                union(1, Term::Var(1).up().and(Term::Rel(0)).down()),
+                union(2, Term::Var(1).and(Term::Const(t))),
+            ])),
+        ),
+        Prog::assign(0, Term::Var(1)),
+    ]);
+    let src = prog.to_string().replace('\n', " ");
+    let body = format!(
+        "{{\"program\":\"{}\",\"db\":{},\"fuel\":{ROUND_FUEL}}}",
+        esc(src.trim()),
+        finite_db_json(&st)
+    );
+    let resp = round_trip(addr, &body, label)?;
+    let direct = match admit(&src, st.schema(), Dialect::Ql, Some(ROUND_FUEL), &LIMITS) {
+        AdmitOutcome::Admitted(a) => Some(oracle(&resp, |fuel| {
+            direct_run(&mut FinInterp::new(&st), Dialect::Ql, &a, fuel)
+        })),
+        AdmitOutcome::Rejected { .. } => None,
+    };
+    check_round(&format!("{label} [n={n}]"), &resp, direct.as_ref())
+}
+
+/// One SERVE-DIFF round on a random unary-cells layout under QLhs.
+fn hs_round(
+    ctx: &mut CheckCtx,
+    addr: SocketAddr,
+    label: &str,
+    union_bias: bool,
+) -> Result<bool, String> {
+    ctx.family("unary-cells");
+    let cells = random_cells(ctx);
+    let shape = ProgShape {
+        rels: cells.len(),
+        vars: 3,
+        allow_singleton: true,
+        allow_finite: false,
+        consts: 4,
+        union_bias,
+    };
+    let src = gen::random_prog(ctx.rng(), 2, 3, &shape).to_string();
+    let body = format!(
+        "{{\"program\":\"{}\",\"db\":{},\"fuel\":{ROUND_FUEL}}}",
+        esc(&src),
+        cells_db_json(&cells)
+    );
+    let resp = round_trip(addr, &body, label)?;
+    let schema = Schema::new(vec![1usize; cells.len()]);
+    let direct = match admit(&src, &schema, Dialect::Qlhs, Some(ROUND_FUEL), &LIMITS) {
+        AdmitOutcome::Admitted(a) => {
+            let hs = unary_cells(cells.clone());
+            Some(oracle(&resp, |fuel| {
+                direct_run(&mut HsInterp::new(&hs), Dialect::Qlhs, &a, fuel)
+            }))
+        }
+        AdmitOutcome::Rejected { .. } => None,
+    };
+    check_round(
+        &format!("{label} [{}]", compact(&src)),
+        &resp,
+        direct.as_ref(),
+    )
 }
 
 fn serve_cache_generic(ctx: &mut CheckCtx) -> Result<(), String> {
@@ -310,9 +403,8 @@ fn serve_cache_generic(ctx: &mut CheckCtx) -> Result<(), String> {
         let Some(fixed) = a.cache_fixed.clone() else {
             continue;
         };
-        let mut interp = FinInterp::new(&st);
-        interp.set_seminaive(true);
-        let ExecEnd::Done(q_of_b) = direct_run(&mut interp, Dialect::Ql, &a) else {
+        let ExecEnd::Done(q_of_b) = direct_run(&mut FinInterp::new(&st), Dialect::Ql, &a, None)
+        else {
             continue;
         };
 

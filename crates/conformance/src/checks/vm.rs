@@ -184,7 +184,9 @@ macro_rules! plain_diff {
 }
 
 /// Scheduled-mode differential on one backend instance, under a
-/// serve-shaped budget (and optionally with the preemption flag up).
+/// serve-shaped budget (and optionally with the preemption flag up):
+/// the counted executor (semi-naive off — the VM recomputes from
+/// scratch) versus `exec_scheduled`.
 #[allow(clippy::too_many_arguments)]
 fn sched_diff<B>(
     mk: &mut dyn FnMut() -> B,
@@ -213,6 +215,7 @@ where
     };
     let preempt = AtomicBool::new(preempt_flag);
     let mut tree_b = mk();
+    tree_b.set_seminaive(false);
     let tree = run_scheduled(&mut tree_b, dialect, p, &budget, &preempt);
     let vb = VmBudget {
         bounds: &no_bounds,

@@ -92,6 +92,11 @@ impl<'a> FcfInterp<'a> {
         self.seminaive = on;
     }
 
+    /// Is the semi-naive loop engine on?
+    pub fn seminaive(&self) -> bool {
+        self.seminaive
+    }
+
     /// `E = {(a,a) | a ∈ Df}` — always finite.
     pub fn op_e(&self) -> FcfVal {
         FcfVal {
@@ -312,7 +317,9 @@ impl<'a> FcfInterp<'a> {
                         body,
                         env,
                         fuel,
-                    );
+                        &mut crate::seminaive::NoHooks,
+                    )
+                    .is_done();
                 if !done {
                     while env.get(*v).is_none_or(FcfVal::is_empty_relation) {
                         fuel.tick()?;
@@ -329,7 +336,9 @@ impl<'a> FcfInterp<'a> {
                         body,
                         env,
                         fuel,
-                    );
+                        &mut crate::seminaive::NoHooks,
+                    )
+                    .is_done();
                 if !done {
                     while env.get(*v).is_none_or(|x| x.finite) {
                         fuel.tick()?;

@@ -44,6 +44,11 @@ impl<'a> FinInterp<'a> {
         self.seminaive = on;
     }
 
+    /// Is the semi-naive loop engine on?
+    pub fn seminaive(&self) -> bool {
+        self.seminaive
+    }
+
     fn universe(&self) -> &[Elem] {
         self.st.universe()
     }
@@ -249,7 +254,9 @@ impl<'a> FinInterp<'a> {
                         body,
                         env,
                         fuel,
-                    );
+                        &mut crate::seminaive::NoHooks,
+                    )
+                    .is_done();
                 if !done {
                     while env.get(*v).is_none_or(Val::is_empty) {
                         fuel.tick()?;

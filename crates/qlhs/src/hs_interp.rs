@@ -54,6 +54,11 @@ impl<'a> HsInterp<'a> {
         self.seminaive = on;
     }
 
+    /// Is the semi-naive loop engine on?
+    pub fn seminaive(&self) -> bool {
+        self.seminaive
+    }
+
     fn level(&mut self, n: usize) -> &[Tuple] {
         self.levels.entry(n).or_insert_with(|| self.hs.t_n(n))
     }
@@ -269,7 +274,8 @@ impl<'a> HsInterp<'a> {
                         body,
                         env,
                         fuel,
-                    );
+                        &mut crate::seminaive::NoHooks,
+                    ).is_done();
                 if !done {
                     while env.get(*v).is_none_or(Val::is_empty) {
                         fuel.tick()?;
@@ -286,7 +292,8 @@ impl<'a> HsInterp<'a> {
                         body,
                         env,
                         fuel,
-                    );
+                        &mut crate::seminaive::NoHooks,
+                    ).is_done();
                 if !done {
                     while env.get(*v).is_some_and(Val::is_singleton) {
                         fuel.tick()?;

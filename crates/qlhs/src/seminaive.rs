@@ -34,18 +34,27 @@
 //! [`try_loop`] never mutates the environment until the loop has run
 //! to successful completion. On *any* obstruction — ineligible body,
 //! non-finite values, a rank mismatch, an evaluation error, fuel
-//! exhaustion — it abandons its private state and returns `false`, and
-//! the interpreter re-runs the untouched from-scratch loop, which
-//! reproduces the exact from-scratch outcome (including which error is
-//! reported). The from-scratch path thus stays live as the
-//! differential oracle, exactly like `partition_by_local_iso_pairwise`
-//! in the refinement pipeline; the `SEMI-NAIVE-DIFF` conformance check
-//! drives both paths over random programs.
+//! exhaustion, a divergent loop — it abandons its private state,
+//! restores the caller's fuel to its entry value and returns
+//! [`LoopEnd::Fallback`] with the reason. The caller then runs the
+//! untouched from-scratch loop, which reproduces the exact
+//! from-scratch outcome (including which error is reported and how
+//! many iterations ran before the fuel gave out). The from-scratch
+//! path thus stays live as the differential oracle, exactly like
+//! `partition_by_local_iso_pairwise` in the refinement pipeline; the
+//! `SEMI-NAIVE-DIFF` conformance check drives both paths over random
+//! programs.
 //!
-//! A stabilized delta (no new tuples in a round) with the guard still
-//! true means the from-scratch loop diverges; the engine burns the
-//! remaining fuel and falls back, so the caller reports the same
-//! `FuelError` the from-scratch loop would.
+//! # Budget hooks
+//!
+//! The same engine runs under the plain interpreters and under the
+//! server's counted executor. A [`LoopHooks`] value sees every round
+//! head and the size of every statement's target, at the points where
+//! the from-scratch loop checks its budgets, so per-loop bounds,
+//! iteration caps, work meters and preemption behave identically on
+//! both paths; the interpreters pass [`NoHooks`]. A round uses no more
+//! fuel than the from-scratch iteration it replaces, so a loop that
+//! completes from scratch completes here too.
 
 use crate::ast::{Prog, Term, VarId};
 use crate::value::RunError;
@@ -301,31 +310,129 @@ pub enum LoopKind {
     Finite,
 }
 
-fn fallback(reason: &'static str) -> bool {
-    recdb_obs::count("fixpoint.seminaive.fallbacks", 1);
-    let _ = reason;
-    false
+/// Why [`try_loop`] handed a loop back to the from-scratch path. Each
+/// reason has its own `fixpoint.seminaive.fallback.*` counter.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Fallback {
+    /// The body is outside the provable fragment.
+    Ineligible(IneligibleLoop),
+    /// A loop variable or a contribution was co-finite.
+    CoFinite,
+    /// A contribution's rank disagreed with its target; the
+    /// from-scratch union raises the same mismatch.
+    RankMismatch,
+    /// Term evaluation failed.
+    EvalError,
+    /// Fuel ran out inside the loop.
+    OutOfFuel,
+    /// A round added nothing while the guard still held: the
+    /// from-scratch loop diverges.
+    Divergent,
+}
+
+impl Fallback {
+    fn record(self) {
+        recdb_obs::count("fixpoint.seminaive.fallbacks", 1);
+        match self {
+            Fallback::Ineligible(_) => {
+                recdb_obs::count("fixpoint.seminaive.fallback.ineligible", 1)
+            }
+            Fallback::CoFinite => recdb_obs::count("fixpoint.seminaive.fallback.cofinite", 1),
+            Fallback::RankMismatch => recdb_obs::count("fixpoint.seminaive.fallback.rank", 1),
+            Fallback::EvalError => recdb_obs::count("fixpoint.seminaive.fallback.error", 1),
+            Fallback::OutOfFuel => recdb_obs::count("fixpoint.seminaive.fallback.fuel", 1),
+            Fallback::Divergent => recdb_obs::count("fixpoint.seminaive.fallback.divergent", 1),
+        }
+    }
+}
+
+/// The budget checks a scheduling executor threads through the delta
+/// engine. Both calls happen exactly where the from-scratch loop makes
+/// them, so a stop fires at the same round and statement on either
+/// path.
+pub trait LoopHooks {
+    /// Why the caller stopped the loop.
+    type Stop;
+    /// A round head: the guard holds and the round's fuel tick comes
+    /// next.
+    fn round(&mut self) -> Result<(), Self::Stop>;
+    /// A body statement finished; `size` is its target's tuple count,
+    /// i.e. the size of the value the from-scratch assignment builds.
+    /// Called for skipped statements too.
+    fn work(&mut self, size: u64) -> Result<(), Self::Stop>;
+}
+
+/// Hooks that never stop the loop: the plain interpreters' `exec`.
+pub struct NoHooks;
+
+impl LoopHooks for NoHooks {
+    type Stop = std::convert::Infallible;
+    fn round(&mut self) -> Result<(), Self::Stop> {
+        Ok(())
+    }
+    fn work(&mut self, _: u64) -> Result<(), Self::Stop> {
+        Ok(())
+    }
+}
+
+/// How [`try_loop`] ended.
+#[derive(Debug, PartialEq, Eq)]
+pub enum LoopEnd<S> {
+    /// The loop completed; the environment holds the exact
+    /// from-scratch result.
+    Done,
+    /// A hook stopped the loop.
+    Stopped(S),
+    /// The caller must run the from-scratch loop. The environment and
+    /// the fuel are as they were on entry.
+    Fallback(Fallback),
+}
+
+impl<S> LoopEnd<S> {
+    /// Did the loop complete?
+    pub fn is_done(&self) -> bool {
+        matches!(self, LoopEnd::Done)
+    }
 }
 
 /// Attempts to run `while <kind>(Y_guard) do body` semi-naively.
 ///
-/// Returns `true` when the loop ran to completion (the environment now
-/// holds the exact from-scratch result). Returns `false` — with the
-/// environment untouched — when the caller must run the from-scratch
-/// loop instead: the body is outside the provable fragment, a value
-/// was not a finite relation, ranks disagreed with the union shape, an
-/// evaluation error occurred, or fuel ran out.
-pub fn try_loop<B: DeltaBackend>(
+/// On [`LoopEnd::Done`] the environment holds the exact from-scratch
+/// result. On [`LoopEnd::Fallback`] the environment is untouched and
+/// `fuel` is restored to its entry value, so the caller's from-scratch
+/// loop reproduces the from-scratch outcome exactly; the caller resets
+/// whatever its hooks counted. [`LoopEnd::Stopped`] passes a hook's
+/// stop through.
+pub fn try_loop<B: DeltaBackend, H: LoopHooks>(
     backend: &mut B,
     kind: LoopKind,
     guard: VarId,
     body: &Prog,
     env: &mut Vec<B::V>,
     fuel: &mut Fuel,
-) -> bool {
-    let Ok(plan) = classify_loop(body) else {
-        return fallback("ineligible body");
+    hooks: &mut H,
+) -> LoopEnd<H::Stop> {
+    let entry = *fuel;
+    let end = match classify_loop(body) {
+        Ok(plan) => run_plan(backend, &plan, kind, guard, env, fuel, hooks),
+        Err(why) => LoopEnd::Fallback(Fallback::Ineligible(why)),
     };
+    if let LoopEnd::Fallback(reason) = end {
+        reason.record();
+        *fuel = entry;
+    }
+    end
+}
+
+fn run_plan<B: DeltaBackend, H: LoopHooks>(
+    backend: &mut B,
+    plan: &LoopPlan,
+    kind: LoopKind,
+    guard: VarId,
+    env: &mut Vec<B::V>,
+    fuel: &mut Fuel,
+    hooks: &mut H,
+) -> LoopEnd<H::Stop> {
     // Entry snapshot: one DeltaVar per written variable, seeded with
     // the entry value so the first round's per-statement delta is the
     // full entry value — round 1 then reproduces iteration 1 exactly.
@@ -335,7 +442,7 @@ pub fn try_loop<B: DeltaBackend>(
     for &w in &plan.writes {
         let entry = env.get(w).cloned().unwrap_or_else(B::V::empty0);
         let Some(tuples) = entry.finite_tuples() else {
-            return fallback("co-finite loop variable");
+            return LoopEnd::Fallback(Fallback::CoFinite);
         };
         let mut dv = DeltaVar::new();
         for t in tuples {
@@ -344,23 +451,19 @@ pub fn try_loop<B: DeltaBackend>(
         ranks.insert(w, entry.rank());
         dvs.insert(w, dv);
     }
-    let guard_size = |dvs: &BTreeMap<VarId, DeltaVar>, env: &[B::V]| -> usize {
-        match dvs.get(&guard) {
-            Some(dv) => dv.len(),
-            None => env.get(guard).map_or(0, DeltaValue::count),
-        }
-    };
-    let guard_finite = |dvs: &BTreeMap<VarId, DeltaVar>, env: &[B::V]| -> bool {
-        match dvs.get(&guard) {
-            Some(_) => true, // loop variables stay finite by construction
-            None => env.get(guard).is_none_or(DeltaValue::is_finite),
-        }
-    };
+    // Loop variables stay finite by construction; the guard reads the
+    // entry value when the body does not write it.
     let continues = |dvs: &BTreeMap<VarId, DeltaVar>, env: &[B::V]| -> bool {
+        let (size, finite) = match dvs.get(&guard) {
+            Some(dv) => (dv.len(), true),
+            None => env
+                .get(guard)
+                .map_or((0, true), |v| (v.count(), v.is_finite())),
+        };
         match kind {
-            LoopKind::Empty => guard_size(dvs, env) == 0,
-            LoopKind::Singleton => guard_size(dvs, env) == 1,
-            LoopKind::Finite => guard_finite(dvs, env),
+            LoopKind::Empty => finite && size == 0,
+            LoopKind::Singleton => finite && size == 1,
+            LoopKind::Finite => finite,
         }
     };
     // Scratch environment: entry values (K-subterms are W-free, so
@@ -370,77 +473,66 @@ pub fn try_loop<B: DeltaBackend>(
         .collect();
     let mut cursors = vec![0usize; plan.stmts.len()];
     let mut rounds: u64 = 0;
-    loop {
-        if !continues(&dvs, env) {
-            break;
+    while continues(&dvs, env) {
+        if let Err(stop) = hooks.round() {
+            return LoopEnd::Stopped(stop);
         }
         if fuel.tick().is_err() {
-            // The from-scratch loop's next tick fails identically.
-            return fallback("fuel exhausted");
+            return LoopEnd::Fallback(Fallback::OutOfFuel);
         }
         rounds += 1;
         let mut progress = false;
         for (i, stmt) in plan.stmts.iter().enumerate() {
             if fuel.tick().is_err() {
-                return fallback("fuel exhausted");
+                return LoopEnd::Fallback(Fallback::OutOfFuel);
             }
-            let delta: B::V = match stmt.source {
+            let delta: Option<B::V> = match stmt.source {
+                // Linear monotone s: s(∅) = ∅. Round 1 always
+                // evaluates, so static errors still surface.
                 Some(src) => {
-                    let dv = &dvs[&src];
-                    let cur = cursors[i];
-                    cursors[i] = dv.len();
-                    if cur == dv.len() && rounds > 1 {
-                        // Linear monotone s: s(∅) = ∅. Round 1 always
-                        // evaluates, so static errors still surface.
-                        continue;
-                    }
-                    let tuples: BTreeSet<Tuple> = dv
-                        .added_since(cur)
-                        .iter()
-                        .map(|&id| interner.resolve(id).clone())
-                        .collect();
-                    B::V::from_tuples(ranks[&src], tuples)
+                    let dv = dvs.entry(src).or_default();
+                    let cur = std::mem::replace(&mut cursors[i], dv.len());
+                    (cur < dv.len() || rounds == 1).then(|| {
+                        let tuples: BTreeSet<Tuple> = dv
+                            .added_since(cur)
+                            .iter()
+                            .map(|&id| interner.resolve(id).clone())
+                            .collect();
+                        B::V::from_tuples(ranks[&src], tuples)
+                    })
                 }
-                None => {
-                    if rounds > 1 {
-                        continue; // constant source: contributed on round 1
-                    }
-                    B::V::empty0()
+                // A constant source contributes on round 1 only.
+                None => (rounds == 1).then(B::V::empty0),
+            };
+            if let Some(delta) = delta {
+                scratch_env[plan.scratch] = delta;
+                let Ok(contribution) = backend.eval(&stmt.rewritten, &scratch_env, fuel) else {
+                    return LoopEnd::Fallback(Fallback::EvalError);
+                };
+                let Some(tuples) = contribution.finite_tuples() else {
+                    return LoopEnd::Fallback(Fallback::CoFinite);
+                };
+                if contribution.rank() != ranks[&stmt.target] {
+                    return LoopEnd::Fallback(Fallback::RankMismatch);
                 }
-            };
-            scratch_env[plan.scratch] = delta;
-            let contribution = match backend.eval(&stmt.rewritten, &scratch_env, fuel) {
-                Ok(v) => v,
-                Err(_) => return fallback("evaluation error"),
-            };
-            let Some(tuples) = contribution.finite_tuples() else {
-                return fallback("co-finite contribution");
-            };
-            if contribution.rank() != ranks[&stmt.target] {
-                // The from-scratch union ¬(¬v ∩ ¬s) raises the same
-                // mismatch on its first iteration.
-                return fallback("union rank mismatch");
+                recdb_obs::observe("fixpoint.delta.size", tuples.len() as u64);
+                let dv = dvs.entry(stmt.target).or_default();
+                for t in tuples {
+                    progress |= dv.insert(interner.intern(t));
+                }
             }
-            recdb_obs::observe("fixpoint.delta.size", tuples.len() as u64);
-            let ids: Vec<_> = tuples.iter().map(|t| interner.intern(t)).collect();
-            let Some(dv) = dvs.get_mut(&stmt.target) else {
-                return fallback("unseeded target"); // unreachable: targets ⊆ writes
-            };
-            for id in ids {
-                if dv.insert(id) {
-                    progress = true;
-                }
+            // Inserts are visible at once, so this is the size of the
+            // value the from-scratch assignment would store.
+            let size = dvs.get(&stmt.target).map_or(0, DeltaVar::len);
+            if let Err(stop) = hooks.work(size as u64) {
+                return LoopEnd::Stopped(stop);
             }
         }
         for dv in dvs.values_mut() {
             dv.changed();
         }
         if !progress && continues(&dvs, env) {
-            // Fixpoint reached with the guard still true: the
-            // from-scratch loop diverges. Burn the budget so the
-            // fallback reports the same FuelError immediately.
-            while fuel.tick().is_ok() {}
-            return fallback("divergent loop");
+            return LoopEnd::Fallback(Fallback::Divergent);
         }
     }
     if rounds > 0 {
@@ -455,7 +547,7 @@ pub fn try_loop<B: DeltaBackend>(
     }
     recdb_obs::count("fixpoint.seminaive.loops", 1);
     recdb_obs::observe("fixpoint.delta.rounds", rounds);
-    true
+    LoopEnd::Done
 }
 
 #[cfg(test)]

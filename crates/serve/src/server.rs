@@ -18,7 +18,7 @@ use crate::proto::{
     build_hs, fcf_result_json, result_json, DbSpec, FormulaRequest, QueryRequest, RaRequest,
 };
 use recdb_analyze::{analyze_formula, CostEnv, Diagnostic};
-use recdb_core::{Elem, QueryOutcome};
+use recdb_core::{Elem, QueryOutcome, Schema};
 use recdb_hsdb::HsDatabase;
 use recdb_logic::{finite_as_db, LMinusQuery};
 use recdb_qlhs::{Dialect, FcfInterp, FcfVal, FinInterp, HsInterp, Permutation, Val};
@@ -402,51 +402,30 @@ fn execute_query(req: &QueryRequest, shared: &Shared, ws: &mut WorkerState) -> (
     };
 
     let work_cap = predicted_work(&adm, &req.db);
-
-    // Compile + verify for the register VM. The compiler is untrusted;
-    // only verifier-accepted bytecode runs, and any obstruction or
-    // rejection falls back to the tree-walkers (the `VM-DIFF` ledger
-    // check proves the two paths byte-identical, so the fallback is
-    // unobservable from outside).
-    let vm_prog = if shared.cfg.vm {
-        let _t = recdb_obs::span("serve.stage.vm.ns");
-        compile(
-            &adm.prog,
-            &schema,
-            dialect,
-            &adm.analysis.termination,
-            &LowerOpts::default(),
-        )
-        .ok()
-        .filter(|vm| {
-            verify(
-                vm,
-                &adm.prog,
-                &schema,
-                dialect,
-                &adm.analysis.termination,
-                Some(&adm.analysis.cost.verdict),
-            )
-            .is_ok()
-        })
-    } else {
-        None
+    let cached = match &mode {
+        CacheMode::Keyed { key, .. } => shared.cache.get(key),
+        _ => None,
     };
-    if shared.cfg.vm && vm_prog.is_none() {
-        recdb_obs::count("serve.vm.fallbacks", 1);
-    }
-    let vm_prog = vm_prog.as_ref();
+    let executes = cached.is_none() || shared.cfg.verify_hits;
+    let engine = choose_engine(&shared.cfg, &adm, &schema, dialect, executes);
+    let job = Job {
+        dialect,
+        adm: &adm,
+        engine,
+        mode,
+        cached,
+        work_cap,
+    };
 
     let _t = recdb_obs::span("serve.stage.execute.ns");
     match &req.db {
         DbSpec::Finite(st) => {
             let mut interp = FinInterp::new(st);
-            interp.set_seminaive(true);
-            serve_rel(&mut interp, dialect, &adm, vm_prog, shared, &mode, work_cap)
+            serve_rel(&mut interp, &job, shared)
         }
         DbSpec::Family(_) | DbSpec::Cells(_) => match worker_hs_interp(ws, &req.db) {
             Some(descr) => match ws.hs.get_mut(&descr) {
-                Some(interp) => serve_rel(interp, dialect, &adm, vm_prog, shared, &mode, work_cap),
+                Some(interp) => serve_rel(interp, &job, shared),
                 None => internal("worker shard lookup failed"),
             },
             None => {
@@ -454,8 +433,7 @@ fn execute_query(req: &QueryRequest, shared: &Shared, ws: &mut WorkerState) -> (
                 match build_hs(&req.db) {
                     Some(hs) => {
                         let mut interp = HsInterp::new(&hs);
-                        interp.set_seminaive(true);
-                        serve_rel(&mut interp, dialect, &adm, vm_prog, shared, &mode, work_cap)
+                        serve_rel(&mut interp, &job, shared)
                     }
                     None => internal("family resolution failed after admission"),
                 }
@@ -463,8 +441,7 @@ fn execute_query(req: &QueryRequest, shared: &Shared, ws: &mut WorkerState) -> (
         },
         DbSpec::Fcf(db) => {
             let mut interp = FcfInterp::new(db);
-            interp.set_seminaive(true);
-            serve_fcf(&mut interp, dialect, &adm, vm_prog, shared, &mode, work_cap)
+            serve_fcf(&mut interp, &job, shared)
         }
     }
 }
@@ -660,33 +637,104 @@ fn predicted_work(adm: &Admission, db: &DbSpec) -> Option<u64> {
     Some(w)
 }
 
-/// Runs an admitted program: on the register VM when a
-/// verifier-accepted compilation is in hand, on the tree-walking
-/// counted executor otherwise. The two paths are event-for-event
-/// equivalent (same guards, same fuel ticks, same scheduling ends), so
-/// callers never observe which one ran.
+/// The statement executor for one admitted request (DESIGN.md §9).
+enum Engine {
+    /// The VM is off, or the request will not execute (a cache hit
+    /// that is not re-checked): nothing is compiled.
+    Off,
+    /// The program has a semi-naive-eligible loop: the counted
+    /// executor runs it, and nothing is compiled.
+    Skipped,
+    /// The compiler or the verifier refused: the counted executor runs
+    /// it.
+    Refused,
+    /// Verifier-accepted bytecode for the register VM.
+    Vm(VmProg),
+}
+
+/// Picks the executor for an admitted request. Compile + verify runs
+/// only when the request will execute and no loop of it can run
+/// semi-naively. The compiler is untrusted: only verifier-accepted
+/// bytecode runs, and the `VM-DIFF` ledger check holds the two
+/// executors byte-identical, so the choice is unobservable from
+/// outside.
+fn choose_engine(
+    cfg: &ServeConfig,
+    adm: &Admission,
+    schema: &Schema,
+    dialect: Dialect,
+    executes: bool,
+) -> Engine {
+    if !cfg.vm || !executes {
+        return Engine::Off;
+    }
+    if adm.analysis.delta.eligible() > 0 {
+        return Engine::Skipped;
+    }
+    let _t = recdb_obs::span("serve.stage.vm.ns");
+    compile(
+        &adm.prog,
+        schema,
+        dialect,
+        &adm.analysis.termination,
+        &LowerOpts::default(),
+    )
+    .ok()
+    .filter(|vm| {
+        verify(
+            vm,
+            &adm.prog,
+            schema,
+            dialect,
+            &adm.analysis.termination,
+            Some(&adm.analysis.cost.verdict),
+        )
+        .is_ok()
+    })
+    .map_or(Engine::Refused, Engine::Vm)
+}
+
+/// What every execution of one admitted request shares.
+struct Job<'a> {
+    dialect: Dialect,
+    adm: &'a Admission,
+    engine: Engine,
+    mode: CacheMode<'a>,
+    /// The cache entry under the request's key, looked up once before
+    /// the executor is chosen.
+    cached: Option<Arc<CachedResult>>,
+    work_cap: Option<u64>,
+}
+
+/// Runs an admitted program on the executor `job.engine` names. The
+/// paths are event-for-event equivalent (same guards, same fuel
+/// ticks, same scheduling ends), so callers never observe which one
+/// ran; a completed semi-naive loop only uses less fuel.
 fn run_admitted<B>(
     b: &mut B,
-    dialect: Dialect,
-    adm: &Admission,
-    vm: Option<&VmProg>,
-    budget: &Budget<'_>,
-    preempt: &AtomicBool,
+    job: &Job<'_>,
+    shared: &Shared,
 ) -> crate::exec::ExecResult<<B as GuardEval>::V>
 where
     B: GuardEval + VmBackend<V = <B as GuardEval>::V>,
 {
-    let Some(prog) = vm else {
-        return run_scheduled(b, dialect, &adm.prog, budget, preempt);
+    let budget = budget_for(&job.adm.plan, shared.cfg.fuel_max, job.work_cap);
+    match &job.engine {
+        Engine::Vm(_) => recdb_obs::count("serve.vm.runs", 1),
+        Engine::Refused => recdb_obs::count("serve.vm.fallbacks", 1),
+        Engine::Skipped => recdb_obs::count("serve.vm.skipped", 1),
+        Engine::Off => {}
+    }
+    let Engine::Vm(prog) = &job.engine else {
+        return run_scheduled(b, job.dialect, &job.adm.prog, &budget, &shared.preempt);
     };
-    recdb_obs::count("serve.vm.runs", 1);
     let vb = VmBudget {
         bounds: budget.bounds,
         total_cap: budget.total_cap,
         fuel: budget.fuel,
         work_cap: budget.work_cap,
     };
-    let r = exec_scheduled(b, prog, &vb, preempt);
+    let r = exec_scheduled(b, prog, &vb, &shared.preempt);
     let end = match r.end {
         VmEnd::Done(v) => ExecEnd::Done(v),
         VmEnd::Errored(e) => ExecEnd::Errored(e),
@@ -720,16 +768,14 @@ fn transport_val(v: &Val, p: &Permutation, forward: bool) -> Val {
 /// response rendering.
 fn serve_rel<B: GuardEval<V = Val> + VmBackend<V = Val>>(
     b: &mut B,
-    dialect: Dialect,
-    adm: &Admission,
-    vm: Option<&VmProg>,
+    job: &Job<'_>,
     shared: &Shared,
-    mode: &CacheMode<'_>,
-    work_cap: Option<u64>,
 ) -> (u16, String) {
+    let adm = job.adm;
+    let mode = &job.mode;
     if let CacheMode::Keyed { key, transport } = mode {
-        if let Some(entry) = shared.cache.get(key) {
-            if let CachedResult::Rel(qk) = &*entry {
+        if let Some(entry) = &job.cached {
+            if let CachedResult::Rel(qk) = &**entry {
                 recdb_obs::count("serve.cache.hits", 1);
                 let answer = match transport {
                     Some(p) => transport_val(qk, p, false),
@@ -737,8 +783,7 @@ fn serve_rel<B: GuardEval<V = Val> + VmBackend<V = Val>>(
                 };
                 let rendered = result_json(&answer);
                 if shared.cfg.verify_hits {
-                    let budget = budget_for(&adm.plan, shared.cfg.fuel_max, work_cap);
-                    let fresh = run_admitted(b, dialect, adm, vm, &budget, &shared.preempt);
+                    let fresh = run_admitted(b, job, shared);
                     match fresh.end {
                         ExecEnd::Done(v) if result_json(&v) == rendered => {
                             recdb_obs::count("serve.cache.verified", 1);
@@ -760,8 +805,7 @@ fn serve_rel<B: GuardEval<V = Val> + VmBackend<V = Val>>(
         }
         recdb_obs::count("serve.cache.misses", 1);
     }
-    let budget = budget_for(&adm.plan, shared.cfg.fuel_max, work_cap);
-    let r = run_admitted(b, dialect, adm, vm, &budget, &shared.preempt);
+    let r = run_admitted(b, job, shared);
     match r.end {
         ExecEnd::Done(v) => {
             recdb_obs::observe("serve.iterations", r.iterations);
@@ -788,23 +832,16 @@ fn serve_rel<B: GuardEval<V = Val> + VmBackend<V = Val>>(
 
 /// The fcf twin of [`serve_rel`] (identity transport only — fcf slices
 /// are descriptor-keyed).
-fn serve_fcf(
-    b: &mut FcfInterp<'_>,
-    dialect: Dialect,
-    adm: &Admission,
-    vm: Option<&VmProg>,
-    shared: &Shared,
-    mode: &CacheMode<'_>,
-    work_cap: Option<u64>,
-) -> (u16, String) {
+fn serve_fcf(b: &mut FcfInterp<'_>, job: &Job<'_>, shared: &Shared) -> (u16, String) {
+    let adm = job.adm;
+    let mode = &job.mode;
     if let CacheMode::Keyed { key, .. } = mode {
-        if let Some(entry) = shared.cache.get(key) {
-            if let CachedResult::Fcf(qk) = &*entry {
+        if let Some(entry) = &job.cached {
+            if let CachedResult::Fcf(qk) = &**entry {
                 recdb_obs::count("serve.cache.hits", 1);
                 let rendered = fcf_result_json(qk);
                 if shared.cfg.verify_hits {
-                    let budget = budget_for(&adm.plan, shared.cfg.fuel_max, work_cap);
-                    let fresh = run_admitted(b, dialect, adm, vm, &budget, &shared.preempt);
+                    let fresh = run_admitted(b, job, shared);
                     match fresh.end {
                         ExecEnd::Done(v) if fcf_result_json(&v) == rendered => {
                             recdb_obs::count("serve.cache.verified", 1);
@@ -826,8 +863,7 @@ fn serve_fcf(
         }
         recdb_obs::count("serve.cache.misses", 1);
     }
-    let budget = budget_for(&adm.plan, shared.cfg.fuel_max, work_cap);
-    let r = run_admitted(b, dialect, adm, vm, &budget, &shared.preempt);
+    let r = run_admitted(b, job, shared);
     match r.end {
         ExecEnd::Done(v) => {
             recdb_obs::observe("serve.iterations", r.iterations);
@@ -956,9 +992,7 @@ fn worker_hs_interp(ws: &mut WorkerState, db: &DbSpec) -> Option<String> {
         }
     };
     let hs = leaked?;
-    let mut interp = HsInterp::new(hs);
-    interp.set_seminaive(true);
-    ws.hs.insert(descr.clone(), interp);
+    ws.hs.insert(descr.clone(), HsInterp::new(hs));
     Some(descr)
 }
 
