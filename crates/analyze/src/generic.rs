@@ -3,7 +3,7 @@
 //!
 //! A query `q` is **C-generic** when every domain permutation `π`
 //! fixing `C` pointwise commutes with it: `π(q(B)) = q(π(B))`
-//! ([CH] §2.5). Every QL construct except
+//! (\[CH\] §2.5). Every QL construct except
 //! [`Term::Const`](recdb_qlhs::Term) is π-equivariant — `E`, `Relᵢ`,
 //! `∩`, `¬`, `↑`, `↓`, `~`, assignment, and all three `while` tests
 //! commute with any bijection of the domain — and equivariance is a

@@ -87,8 +87,7 @@ fn bench_compiled_counter(c: &mut Criterion) {
             bch.iter(|| {
                 let mut interp = HsInterp::new(&hs);
                 let mut env: Vec<Val> = Vec::new();
-                interp
-                    .exec(&cc.prog, &mut env, &mut Fuel::new(10_000_000))
+                recdb_qlhs::exec(&mut interp, &cc.prog, &mut env, &mut Fuel::new(10_000_000))
                     .unwrap();
                 black_box(env[cc.reg_var(0)].rank)
             })

@@ -400,9 +400,13 @@ fn e9_qlhs_programs() {
         let cc = compile_counter(&add, &[a, b]).unwrap();
         let t0 = Instant::now();
         let mut env: Vec<Val> = Vec::new();
-        HsInterp::new(&hs)
-            .exec(&cc.prog, &mut env, &mut Fuel::new(50_000_000))
-            .unwrap();
+        recdb_qlhs::exec(
+            &mut HsInterp::new(&hs),
+            &cc.prog,
+            &mut env,
+            &mut Fuel::new(50_000_000),
+        )
+        .unwrap();
         println!(
             "  {a}+{b} = {} (rank), {:.1?}",
             env[cc.reg_var(0)].rank,

@@ -6,7 +6,7 @@
 //! Source-compatible surface: [`Criterion::default()`] with
 //! `sample_size`/`measurement_time`/`warm_up_time`, `benchmark_group`,
 //! `bench_function`/`bench_with_input` with [`BenchmarkId`], and the
-//! [`criterion_group!`]/[`criterion_main!`] macros in their
+//! `criterion_group!`/`criterion_main!` macros in their
 //! `name/config/targets` form — existing bench files only change
 //! their import line. Statistics are deliberately simple: per sample,
 //! the mean ns/iter of a batch sized to fill the measurement budget;

@@ -1,6 +1,6 @@
 //! # recdb-bp — BP-completeness over recursive data bases (§6)
 //!
-//! BP-completeness ([B], [P]) asks a language to express *relations*
+//! BP-completeness (\[B\], \[P\]) asks a language to express *relations*
 //! that preserve the automorphisms of a fixed database, rather than
 //! queries. The paper's three results, all executable here:
 //!

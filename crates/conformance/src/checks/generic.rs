@@ -27,13 +27,14 @@
 //!   completing.
 
 use crate::gen::{self, ProgShape};
-use crate::iter_count::{counted_run_fcf, counted_run_fin, counted_run_hs, CountedEnd};
+use crate::iter_count::{counted_run_fcf, counted_run_fin, counted_run_hs};
 use crate::ledger::CheckCtx;
 use recdb_analyze::{analyze_full, GenericityVerdict, LoopBound, TerminationVerdict, Verdict};
 use recdb_core::{CoFiniteRelation, FiniteRelation, FiniteStructure, Fuel, Schema, Tuple};
 use recdb_hsdb::{unary_cells, CellSize, FcfDatabase, FcfRel, HsDatabase};
 use recdb_qlhs::{
-    Dialect, FcfInterp, FcfVal, FinInterp, HsInterp, Permutation, Prog, RunError, Term, Val,
+    Dialect, ExecEnd, FcfInterp, FcfVal, FinInterp, HsInterp, Permutation, Prog, RunError, Term,
+    Val,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::mem::discriminant;
@@ -452,7 +453,7 @@ pub fn termination_bounds_hold(ctx: &mut CheckCtx) -> Result<(), String> {
             GBackend::Hs { hs, .. } => counted_run_hs(hs, &p, 60_000, CAP, &bounds),
             GBackend::Fcf(db) => counted_run_fcf(db, &p, 60_000, CAP, &bounds),
         };
-        if let CountedEnd::BoundExceeded { path, bound } = &counted.end {
+        if let ExecEnd::BoundExceeded { path, bound } = &counted.end {
             return Err(format!(
                 "proved bound ≤ {bound} for the loop at {path:?} was exceeded under \
                  {dialect} (round {round}):\n{p}"
@@ -460,7 +461,7 @@ pub fn termination_bounds_hold(ctx: &mut CheckCtx) -> Result<(), String> {
         }
         match &full.termination.verdict {
             TerminationVerdict::Terminates { iterations } => {
-                if matches!(counted.end, CountedEnd::CapHit) {
+                if matches!(counted.end, ExecEnd::TotalExceeded { .. }) {
                     return Err(format!(
                         "Terminates (≤ {iterations}) claimed but the run hit the \
                          {CAP}-iteration cap under {dialect} (round {round}):\n{p}"
@@ -477,7 +478,7 @@ pub fn termination_bounds_hold(ctx: &mut CheckCtx) -> Result<(), String> {
             TerminationVerdict::Diverges => {
                 diverges_checked += 1;
                 match &counted.end {
-                    CountedEnd::CapHit | CountedEnd::Errored(RunError::Fuel(_)) => {}
+                    ExecEnd::TotalExceeded { .. } | ExecEnd::OutOfFuel => {}
                     other => {
                         return Err(format!(
                             "Diverges claimed but the run ended with {other:?} under \

@@ -37,9 +37,11 @@ use crate::gen::{self, ProgShape};
 use crate::ledger::{CheckCtx, CheckDef};
 use recdb_core::{Elem, FiniteStructure, Schema};
 use recdb_hsdb::{unary_cells, CellSize};
-use recdb_qlhs::{Dialect, FinInterp, HsInterp, Permutation, Prog, Term, Val};
+use recdb_qlhs::{
+    Backend, Budget, Dialect, ExecEnd, FinInterp, HsInterp, Permutation, Prog, Term, Val,
+};
 use recdb_serve::admit::{admit, Admission, AdmitLimits, AdmitOutcome, Plan};
-use recdb_serve::exec::{run_scheduled, Budget, ExecEnd, GuardEval};
+use recdb_serve::exec::run_scheduled;
 use recdb_serve::json::esc;
 use recdb_serve::proto::result_json;
 use recdb_serve::{post_once, Response, ServeConfig, Server};
@@ -133,7 +135,7 @@ fn cells_db_json(cells: &[CellSize]) -> String {
 /// Runs an admitted program directly on the from-scratch path (the
 /// oracle: semi-naive off), under exactly the budget the server would
 /// grant it, or under `fuel` when given.
-fn direct_run<B: GuardEval<V = Val>>(
+fn direct_run<B: Backend<V = Val>>(
     b: &mut B,
     dialect: Dialect,
     a: &Admission,

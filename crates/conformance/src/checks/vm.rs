@@ -9,7 +9,7 @@
 //!   tree-walker *exactly* — completed values, runtime errors, and
 //!   fuel exhaustion alike — at several fuel budgets including 0.
 //!   The serve scheduling envelope is replayed too: `exec_scheduled`
-//!   versus the counted executor `run_scheduled` must agree on the
+//!   versus the tree executor's `run_scheduled` must agree on the
 //!   end event (the server's 200/408/422/500 decision), the iteration
 //!   count, the preemption response, and — for programs with no
 //!   elided stores — the observed work and the work-cap verdict.
@@ -28,12 +28,11 @@ use crate::ledger::{CheckCtx, CheckDef};
 use recdb_analyze::analyze_full;
 use recdb_core::{FiniteStructure, Fuel, Schema};
 use recdb_hsdb::FcfDatabase;
-use recdb_qlhs::{Dialect, FcfInterp, FinInterp, HsInterp, Prog};
-use recdb_serve::exec::{run_scheduled, Budget, ExecEnd, GuardEval};
-use recdb_vm::{
-    compile, exec_plain, exec_scheduled, verify, GuardKind, Inst, LowerOpts, VmBackend, VmBudget,
-    VmEnd, VmProg,
+use recdb_qlhs::{
+    Backend, Budget, Dialect, ExecEnd, FcfInterp, FinInterp, HsInterp, LoopKind, Prog,
 };
+use recdb_serve::exec::run_scheduled;
+use recdb_vm::{compile, exec_plain, exec_scheduled, verify, Inst, LowerOpts, VmProg};
 use std::collections::BTreeMap;
 use std::sync::atomic::AtomicBool;
 
@@ -112,25 +111,6 @@ fn compile_verified(
     }
 }
 
-/// One scheduled-end comparison: the counted executor's event must be
-/// reproduced by the VM bit-for-bit (this is the server's status-code
-/// decision: Done→200, OutOfFuel/Preempted→408, Errored→422,
-/// Bound/Total/WorkExceeded→500).
-fn end_matches<V: PartialEq>(tree: &ExecEnd<V>, vm: &VmEnd<V>) -> bool {
-    match (tree, vm) {
-        (ExecEnd::Done(a), VmEnd::Done(b)) => a == b,
-        (ExecEnd::Errored(a), VmEnd::Errored(b)) => a == b,
-        (ExecEnd::OutOfFuel, VmEnd::OutOfFuel) | (ExecEnd::Preempted, VmEnd::Preempted) => true,
-        (
-            ExecEnd::BoundExceeded { path: a, bound: x },
-            VmEnd::BoundExceeded { path: b, bound: y },
-        ) => a == b && x == y,
-        (ExecEnd::TotalExceeded { cap: a }, VmEnd::TotalExceeded { cap: b })
-        | (ExecEnd::WorkExceeded { cap: a }, VmEnd::WorkExceeded { cap: b }) => a == b,
-        _ => false,
-    }
-}
-
 fn end_tag<V>(e: &ExecEnd<V>) -> &'static str {
     match e {
         ExecEnd::Done(_) => "done",
@@ -200,8 +180,8 @@ fn sched_diff<B>(
     round: usize,
 ) -> Result<&'static str, String>
 where
-    B: GuardEval + VmBackend<V = <B as GuardEval>::V>,
-    <B as GuardEval>::V: PartialEq + std::fmt::Debug,
+    B: Backend,
+    B::V: PartialEq + std::fmt::Debug,
 {
     let no_bounds = BTreeMap::new();
     // Elided dead stores legitimately lower the VM's observed work;
@@ -217,15 +197,10 @@ where
     let mut tree_b = mk();
     tree_b.set_seminaive(false);
     let tree = run_scheduled(&mut tree_b, dialect, p, &budget, &preempt);
-    let vb = VmBudget {
-        bounds: &no_bounds,
-        total_cap: u64::MAX,
-        fuel,
-        work_cap: cap,
-    };
-    let mut vm_b = mk();
-    let got = exec_scheduled(&mut vm_b, vm, &vb, &preempt);
-    if !end_matches(&tree.end, &got.end) {
+    let got = exec_scheduled(&mut mk(), vm, &budget, &preempt);
+    // The server's status-code decision: Done→200,
+    // OutOfFuel/Preempted→408, Errored→422, Bound/Total/WorkExceeded→500.
+    if tree.end != got.end {
         return Err(format!(
             "round {round}: scheduled end diverged at fuel {fuel} (work_cap {cap:?}, preempt {preempt_flag}):\n  tree: {:?}\n  vm:   {:?}\n{p}\n{vm}",
             tree.end, got.end
@@ -586,9 +561,9 @@ fn mutations(inst: &Inst, frame: usize, nrels: usize) -> Vec<Inst> {
             exit,
         } => {
             let other = match kind {
-                GuardKind::Empty => GuardKind::Single,
-                GuardKind::Single => GuardKind::Finite,
-                GuardKind::Finite => GuardKind::Empty,
+                LoopKind::Empty => LoopKind::Singleton,
+                LoopKind::Singleton => LoopKind::Finite,
+                LoopKind::Finite => LoopKind::Empty,
             };
             out.push(Inst::Guard {
                 loop_id,

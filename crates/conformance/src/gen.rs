@@ -260,7 +260,7 @@ pub struct RaShape {
 }
 
 /// A random named-attribute schema: 2–3 relations of arity 1–3 over
-/// [`RA_ATTRS`], each declared in *random* column order so that
+/// `RA_ATTRS`, each declared in *random* column order so that
 /// base-relation lowering has to permute leaves into the compiler's
 /// sorted-attribute coordinate convention.
 pub fn random_ra_schema(rng: &mut SplitMix64) -> RaSchema {
@@ -435,7 +435,7 @@ fn random_ra_expr(
 }
 
 /// A random well-typed RA program over `schema`: [`RaShape::views`]
-/// named views, then a query, each a [`random_ra_expr`]. With
+/// named views, then a query, each a `random_ra_expr`. With
 /// `free_complement` off every generated program passes the safety
 /// validator (all complements are difference-guarded); with it on the
 /// stream mixes accepted and `RA05`-rejected programs.

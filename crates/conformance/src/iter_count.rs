@@ -1,279 +1,109 @@
-//! A counting mirror of the three interpreters: same control flow,
-//! same guard semantics, same term evaluation (delegated to the real
-//! `eval_term`s) — plus a per-loop iteration counter keyed by
-//! [`NodePath`].
+//! Counted runs: the statement executor under the budget meter,
+//! recording per-loop iteration counts keyed by [`NodePath`] and
+//! per-statement materialized sizes.
 //!
 //! This is the dynamic side of the `TERMINATE-BOUND` differential:
 //! `recdb_analyze::analyze_termination` proves per-entry iteration
 //! bounds (B0/B1/B2) and a program-level `Terminates {iterations}`
-//! claim; this executor replays the program on a real database and
-//! errors the moment any proved bound is exceeded. A `Diverges`
-//! verdict is checked the other way around: the run must hit the
-//! iteration cap (or exhaust fuel) instead of completing.
+//! claim; a counted run replays the program on a real database under
+//! those bounds and stops the moment any of them is exceeded. A
+//! `Diverges` verdict is checked the other way around: the run must
+//! hit the iteration cap (or exhaust fuel) instead of completing. The
+//! cost checks compare the recorded sizes with the cost pass's bounds.
 //!
-//! The executor deliberately re-implements only the *statement* layer
-//! (`Assign`/`Seq`/`while`), mirroring each interpreter's `exec` —
-//! including its fuel ticks and its exact guard predicates — and
-//! leaves all term semantics to the interpreter under test, so a
-//! disagreement implicates the claims, not a shadow interpreter.
+//! The run is [`recdb_qlhs::run`] — the one statement executor, with
+//! the interpreter under test's own term semantics — and the
+//! `Recorder` hooks wrap the server's budget [`Meter`]. The
+//! interpreter's semi-naive engine is switched off, so every loop runs
+//! from scratch and a disagreement implicates the claims, not a
+//! shadow executor.
 
 use recdb_core::{FiniteStructure, Fuel};
 use recdb_hsdb::{FcfDatabase, HsDatabase};
-use recdb_qlhs::{Dialect, FcfInterp, FcfVal, FinInterp, HsInterp, Prog, RunError, Term, Val};
+use recdb_qlhs::{
+    run, Backend, Budget, ExecEnd, ExecResult, FcfInterp, FinInterp, Hooks, HsInterp, Meter,
+    NodePath, Prog,
+};
 use std::collections::BTreeMap;
-
-/// How a counted run ended.
-#[derive(Debug)]
-pub enum CountedEnd {
-    /// The program ran to completion.
-    Completed,
-    /// The interpreter returned an error (fuel included).
-    Errored(RunError),
-    /// A proved per-entry bound was exceeded: the loop at `path`
-    /// passed `bound` iterations in a single entry.
-    BoundExceeded {
-        /// The loop's tree path.
-        path: Vec<u32>,
-        /// The bound it was proved to respect.
-        bound: u64,
-    },
-    /// The global iteration cap was hit (divergence evidence).
-    CapHit,
-}
+use std::sync::atomic::AtomicBool;
 
 /// The result of a counted run.
 #[derive(Debug)]
 pub struct CountedRun {
-    /// Per-loop maximum iteration count over any single entry.
-    pub per_entry_max: BTreeMap<Vec<u32>, u64>,
+    /// Per-loop maximum iteration count over any single entry (a loop
+    /// whose guard never held is absent).
+    pub per_entry_max: BTreeMap<NodePath, u64>,
     /// Total loop iterations across the whole run.
     pub total: u64,
     /// Per-assignment maximum materialized size (tuples for a finite
     /// value, stored representation size for an fcf value), keyed by
     /// the statement's tree path — the dynamic mirror of the cost
     /// analyzer's per-statement cardinality bounds (DESIGN.md §11).
-    pub stmt_tuples: BTreeMap<Vec<u32>, u64>,
+    pub stmt_tuples: BTreeMap<NodePath, u64>,
     /// Total materialized tuples across every assignment execution —
     /// the dynamic mirror of the whole-program work bound.
     pub work: u64,
-    /// How the run ended.
-    pub end: CountedEnd,
+    /// How the run ended: a proved per-entry bound exceeded is
+    /// `BoundExceeded`, the iteration cap `TotalExceeded`.
+    pub end: ExecEnd<()>,
 }
 
-/// One backend's value operations, as the statement layer needs them.
-trait CountEval {
-    type V: Clone;
-    fn eval(&mut self, t: &Term, env: &[Self::V], fuel: &mut Fuel) -> Result<Self::V, RunError>;
-    fn unset() -> Self::V;
-    fn empty_guard(v: Option<&Self::V>) -> bool;
-    fn single_guard(v: Option<&Self::V>) -> Result<bool, RunError>;
-    fn finite_guard(v: Option<&Self::V>) -> Result<bool, RunError>;
-    /// The materialized size of a value — what the cost analyzer's
-    /// cardinality polynomials bound.
-    fn size(v: &Self::V) -> u64;
+/// Budget hooks that also record what the cost and termination checks
+/// compare against their static bounds.
+#[derive(Clone)]
+struct Recorder<'a> {
+    meter: Meter<'a, ()>,
+    per_entry_max: BTreeMap<NodePath, u64>,
+    stmt_tuples: BTreeMap<NodePath, u64>,
 }
 
-impl CountEval for FinInterp<'_> {
-    type V = Val;
-    fn eval(&mut self, t: &Term, env: &[Val], fuel: &mut Fuel) -> Result<Val, RunError> {
-        FinInterp::eval_term(self, t, env, fuel)
-    }
-    fn unset() -> Val {
-        Val::empty(0)
-    }
-    fn empty_guard(v: Option<&Val>) -> bool {
-        v.is_none_or(Val::is_empty)
-    }
-    fn single_guard(_: Option<&Val>) -> Result<bool, RunError> {
-        Err(RunError::DialectViolation(
-            "while |Y|=1 is a QLhs primitive; in finitary QL it is only definable",
-        ))
-    }
-    fn finite_guard(_: Option<&Val>) -> Result<bool, RunError> {
-        Err(RunError::DialectViolation(
-            "while |Y|<∞ is a QLf+ construct",
-        ))
-    }
-    fn size(v: &Val) -> u64 {
-        v.len() as u64
-    }
-}
+impl Hooks for Recorder<'_> {
+    type Stop = ExecEnd<()>;
 
-impl CountEval for HsInterp<'_> {
-    type V = Val;
-    fn eval(&mut self, t: &Term, env: &[Val], fuel: &mut Fuel) -> Result<Val, RunError> {
-        HsInterp::eval_term(self, t, env, fuel)
-    }
-    fn unset() -> Val {
-        Val::empty(0)
-    }
-    fn empty_guard(v: Option<&Val>) -> bool {
-        v.is_none_or(Val::is_empty)
-    }
-    fn single_guard(v: Option<&Val>) -> Result<bool, RunError> {
-        Ok(v.is_some_and(Val::is_singleton))
-    }
-    fn finite_guard(_: Option<&Val>) -> Result<bool, RunError> {
-        Err(RunError::DialectViolation(
-            "while |Y|<∞ is a QLf+ construct, not part of QLhs",
-        ))
-    }
-    fn size(v: &Val) -> u64 {
-        v.len() as u64
-    }
-}
-
-impl CountEval for FcfInterp<'_> {
-    type V = FcfVal;
-    fn eval(&mut self, t: &Term, env: &[FcfVal], fuel: &mut Fuel) -> Result<FcfVal, RunError> {
-        FcfInterp::eval_term(self, t, env, fuel)
-    }
-    fn unset() -> FcfVal {
-        FcfVal::empty(0)
-    }
-    fn empty_guard(v: Option<&FcfVal>) -> bool {
-        v.is_none_or(FcfVal::is_empty_relation)
-    }
-    fn single_guard(_: Option<&FcfVal>) -> Result<bool, RunError> {
-        Err(RunError::DialectViolation(
-            "while |Y|=1 is a QLhs primitive, not part of QLf+",
-        ))
-    }
-    fn finite_guard(v: Option<&FcfVal>) -> Result<bool, RunError> {
-        Ok(v.is_none_or(|x| x.finite))
-    }
-    fn size(v: &FcfVal) -> u64 {
-        v.tuples.len() as u64
-    }
-}
-
-enum Stop {
-    Run(RunError),
-    Bound { path: Vec<u32>, bound: u64 },
-    Cap,
-}
-
-struct Counter<'b> {
-    /// Proved per-entry bounds to enforce, by loop path.
-    bounds: &'b BTreeMap<Vec<u32>, u64>,
-    per_entry_max: BTreeMap<Vec<u32>, u64>,
-    total: u64,
-    cap: u64,
-    stmt_tuples: BTreeMap<Vec<u32>, u64>,
-    work: u64,
-}
-
-impl Counter<'_> {
-    fn note(&mut self, path: &[u32], here: u64) {
+    fn round(&mut self, path: &[u32], here: u64) -> Result<(), ExecEnd<()>> {
         let m = self.per_entry_max.entry(path.to_vec()).or_insert(0);
         *m = (*m).max(here);
+        self.meter.round(path, here)
+    }
+
+    fn work(&mut self, path: &[u32], size: u64) -> Result<(), ExecEnd<()>> {
+        let m = self.stmt_tuples.entry(path.to_vec()).or_insert(0);
+        *m = (*m).max(size);
+        self.meter.work(path, size)
     }
 }
 
-fn cexec<B: CountEval>(
-    b: &mut B,
+fn counted<B: Backend>(
+    mut b: B,
     p: &Prog,
-    env: &mut Vec<B::V>,
-    fuel: &mut Fuel,
-    path: &mut Vec<u32>,
-    c: &mut Counter<'_>,
-) -> Result<(), Stop> {
-    fuel.tick().map_err(|e| Stop::Run(RunError::Fuel(e)))?;
-    match p {
-        Prog::Assign(v, t) => {
-            let val = b.eval(t, env, fuel).map_err(Stop::Run)?;
-            let size = B::size(&val);
-            let m = c.stmt_tuples.entry(path.clone()).or_insert(0);
-            *m = (*m).max(size);
-            c.work = c.work.saturating_add(size);
-            if *v >= env.len() {
-                env.resize(*v + 1, B::unset());
-            }
-            env[*v] = val;
-        }
-        Prog::Seq(ps) => {
-            for (i, q) in ps.iter().enumerate() {
-                path.push(i as u32);
-                let r = cexec(b, q, env, fuel, path, c);
-                path.pop();
-                r?;
-            }
-        }
-        Prog::WhileEmpty(v, body) | Prog::WhileSingleton(v, body) | Prog::WhileFinite(v, body) => {
-            let mut here = 0u64;
-            loop {
-                let go = match p {
-                    Prog::WhileEmpty(..) => B::empty_guard(env.get(*v)),
-                    Prog::WhileSingleton(..) => B::single_guard(env.get(*v)).map_err(Stop::Run)?,
-                    _ => B::finite_guard(env.get(*v)).map_err(Stop::Run)?,
-                };
-                if !go {
-                    break;
-                }
-                here += 1;
-                c.total += 1;
-                if let Some(&bound) = c.bounds.get(path.as_slice()) {
-                    if here > bound {
-                        c.note(path, here);
-                        return Err(Stop::Bound {
-                            path: path.clone(),
-                            bound,
-                        });
-                    }
-                }
-                if here > c.cap || c.total > c.cap {
-                    c.note(path, here);
-                    return Err(Stop::Cap);
-                }
-                fuel.tick().map_err(|e| Stop::Run(RunError::Fuel(e)))?;
-                path.push(0);
-                let r = cexec(b, body, env, fuel, path, c);
-                path.pop();
-                if let Err(stop) = r {
-                    c.note(path, here);
-                    return Err(stop);
-                }
-            }
-            c.note(path, here);
-        }
-    }
-    Ok(())
-}
-
-fn counted<B: CountEval>(
-    b: &mut B,
-    dialect: Dialect,
-    p: &Prog,
-    fuel: &mut Fuel,
+    fuel: u64,
     cap: u64,
-    bounds: &BTreeMap<Vec<u32>, u64>,
+    bounds: &BTreeMap<NodePath, u64>,
 ) -> CountedRun {
-    let mut c = Counter {
+    b.set_seminaive(false);
+    let budget = Budget {
         bounds,
+        total_cap: cap,
+        fuel,
+        work_cap: None,
+    };
+    let quiet = AtomicBool::new(false);
+    let mut rec = Recorder {
+        meter: budget.meter(&quiet),
         per_entry_max: BTreeMap::new(),
-        total: 0,
-        cap,
         stmt_tuples: BTreeMap::new(),
-        work: 0,
     };
-    let end = if let Err(v) = dialect.check(p) {
-        CountedEnd::Errored(RunError::DialectViolation(v.message()))
-    } else {
-        let nvars = p.max_var().map_or(1, |m| m + 1);
-        let mut env = vec![B::unset(); nvars.max(1)];
-        let mut path = Vec::new();
-        match cexec(b, p, &mut env, fuel, &mut path, &mut c) {
-            Ok(()) => CountedEnd::Completed,
-            Err(Stop::Run(e)) => CountedEnd::Errored(e),
-            Err(Stop::Bound { path, bound }) => CountedEnd::BoundExceeded { path, bound },
-            Err(Stop::Cap) => CountedEnd::CapHit,
-        }
-    };
+    let r = run(&mut b, p, &mut Fuel::new(fuel), &mut rec).map(|_| ());
+    let ExecResult {
+        end,
+        iterations,
+        work,
+    } = rec.meter.finish(r);
     CountedRun {
-        per_entry_max: c.per_entry_max,
-        total: c.total,
-        stmt_tuples: c.stmt_tuples,
-        work: c.work,
+        per_entry_max: rec.per_entry_max,
+        total: iterations,
+        stmt_tuples: rec.stmt_tuples,
+        work,
         end,
     }
 }
@@ -284,17 +114,9 @@ pub fn counted_run_fin(
     p: &Prog,
     fuel_budget: u64,
     cap: u64,
-    bounds: &BTreeMap<Vec<u32>, u64>,
+    bounds: &BTreeMap<NodePath, u64>,
 ) -> CountedRun {
-    let mut interp = FinInterp::new(st);
-    counted(
-        &mut interp,
-        Dialect::Ql,
-        p,
-        &mut Fuel::new(fuel_budget),
-        cap,
-        bounds,
-    )
+    counted(FinInterp::new(st), p, fuel_budget, cap, bounds)
 }
 
 /// Counted run under the QLhs interpreter.
@@ -303,17 +125,9 @@ pub fn counted_run_hs(
     p: &Prog,
     fuel_budget: u64,
     cap: u64,
-    bounds: &BTreeMap<Vec<u32>, u64>,
+    bounds: &BTreeMap<NodePath, u64>,
 ) -> CountedRun {
-    let mut interp = HsInterp::new(hs);
-    counted(
-        &mut interp,
-        Dialect::Qlhs,
-        p,
-        &mut Fuel::new(fuel_budget),
-        cap,
-        bounds,
-    )
+    counted(HsInterp::new(hs), p, fuel_budget, cap, bounds)
 }
 
 /// Counted run under the QLf+ interpreter.
@@ -322,17 +136,9 @@ pub fn counted_run_fcf(
     p: &Prog,
     fuel_budget: u64,
     cap: u64,
-    bounds: &BTreeMap<Vec<u32>, u64>,
+    bounds: &BTreeMap<NodePath, u64>,
 ) -> CountedRun {
-    let mut interp = FcfInterp::new(db);
-    counted(
-        &mut interp,
-        Dialect::QlfPlus,
-        p,
-        &mut Fuel::new(fuel_budget),
-        cap,
-        bounds,
-    )
+    counted(FcfInterp::new(db), p, fuel_budget, cap, bounds)
 }
 
 #[cfg(test)]
@@ -349,7 +155,7 @@ mod tests {
         // The loop runs exactly once: the body flips the guard.
         let p = parse_program("while empty(Y2) { Y2 := E; } Y1 := Y2;").unwrap();
         let r = counted_run_fin(&graph(), &p, 10_000, 100, &BTreeMap::new());
-        assert!(matches!(r.end, CountedEnd::Completed), "{:?}", r.end);
+        assert!(matches!(r.end, ExecEnd::Done(())), "{:?}", r.end);
         assert_eq!(r.per_entry_max.get(&vec![0]), Some(&1));
         assert_eq!(r.total, 1);
     }
@@ -358,7 +164,11 @@ mod tests {
     fn a_divergent_loop_hits_the_cap() {
         let p = parse_program("while empty(Y2) { Y3 := E; }").unwrap();
         let r = counted_run_fin(&graph(), &p, 1_000_000, 50, &BTreeMap::new());
-        assert!(matches!(r.end, CountedEnd::CapHit), "{:?}", r.end);
+        assert!(
+            matches!(r.end, ExecEnd::TotalExceeded { .. }),
+            "{:?}",
+            r.end
+        );
     }
 
     #[test]
@@ -367,7 +177,7 @@ mod tests {
         let bounds: BTreeMap<Vec<u32>, u64> = [(vec![0], 3u64)].into_iter().collect();
         let r = counted_run_fin(&graph(), &p, 1_000_000, 50, &bounds);
         match r.end {
-            CountedEnd::BoundExceeded { path, bound } => {
+            ExecEnd::BoundExceeded { path, bound } => {
                 assert_eq!(path, vec![0]);
                 assert_eq!(bound, 3);
             }
@@ -386,7 +196,7 @@ mod tests {
         )
         .unwrap();
         let r = counted_run_fin(&graph(), &p, 100_000, 100, &BTreeMap::new());
-        assert!(matches!(r.end, CountedEnd::Completed), "{:?}", r.end);
+        assert!(matches!(r.end, ExecEnd::Done(())), "{:?}", r.end);
         assert_eq!(r.per_entry_max.get(&vec![0]), Some(&2), "{r:?}");
         assert_eq!(r.per_entry_max.get(&vec![0, 0, 0]), Some(&1), "{r:?}");
         assert_eq!(r.total, 4, "{r:?}");
@@ -403,7 +213,7 @@ mod tests {
         let compiled = recdb_ra::compile_program(&p, &schema).unwrap();
         let st = FiniteStructure::graph(0..4, [(0, 1), (1, 2), (2, 3)]);
         let r = counted_run_fin(&st, &compiled.prog, 1_000_000, 100, &BTreeMap::new());
-        assert!(matches!(r.end, CountedEnd::Completed), "{:?}", r.end);
+        assert!(matches!(r.end, ExecEnd::Done(())), "{:?}", r.end);
         // The query compiles to a single binding, so the statement
         // layer materializes exactly once: the two grandparent pairs
         // of the chain (0→2, 1→3), projected to their far endpoints.
@@ -421,7 +231,7 @@ mod tests {
         // re-materializing `E` (3).
         let p = parse_program("Y1 := E; Y2 := Y1 & E; while empty(Y3) { Y3 := E; }").unwrap();
         let r = counted_run_fin(&graph(), &p, 100_000, 100, &BTreeMap::new());
-        assert!(matches!(r.end, CountedEnd::Completed), "{:?}", r.end);
+        assert!(matches!(r.end, ExecEnd::Done(())), "{:?}", r.end);
         assert_eq!(r.stmt_tuples.get(&vec![0]), Some(&3));
         assert_eq!(r.stmt_tuples.get(&vec![1]), Some(&3));
         assert_eq!(r.stmt_tuples.get(&vec![2, 0, 0]), Some(&3));
@@ -433,7 +243,10 @@ mod tests {
         let p = parse_program("while single(Y1) { Y1 := E; }").unwrap();
         let r = counted_run_fin(&graph(), &p, 10_000, 100, &BTreeMap::new());
         assert!(
-            matches!(r.end, CountedEnd::Errored(RunError::DialectViolation(_))),
+            matches!(
+                r.end,
+                ExecEnd::Errored(recdb_qlhs::RunError::DialectViolation(_))
+            ),
             "{:?}",
             r.end
         );

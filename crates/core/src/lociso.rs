@@ -93,7 +93,7 @@ pub fn locally_equivalent(b: &Database, u: &Tuple, v: &Tuple) -> bool {
 
 /// Iterates over all index vectors `(j₁,…,j_a) ∈ {0..n}^a` — the
 /// projection patterns condition (iii) quantifies over. Exposed for the
-/// atomic-type machinery in [`crate::types`].
+/// atomic-type machinery in the `types` module.
 pub fn index_vectors(n: usize, a: usize) -> Vec<Vec<usize>> {
     if a == 0 {
         return vec![Vec::new()];

@@ -1,4 +1,4 @@
-//! # recdb-gm — generic machines over hs-r-dbs (§5, after [AV])
+//! # recdb-gm — generic machines over hs-r-dbs (§5, after \[AV\])
 //!
 //! Abiteboul–Vianu generic machines adapted to highly symmetric
 //! recursive databases: unit machines with dual-alphabet tapes, two

@@ -1,4 +1,4 @@
-//! Generic machines over hs-r-dbs — GMhs (§5, after [AV]).
+//! Generic machines over hs-r-dbs — GMhs (§5, after \[AV\]).
 //!
 //! A GMhs is a set of synchronously-running *unit* machines, each with
 //! a finite-state control, a tape over the dual alphabet (work symbols

@@ -1,10 +1,10 @@
-//! Recursive countable random structures (Prop 3.2, [HH2]).
+//! Recursive countable random structures (Prop 3.2, \[HH2\]).
 //!
 //! A countable *random* structure satisfies every extension axiom: for
 //! each finite set `X` and each consistent way a new point can relate
 //! to `X` atomically, such a point exists. Prop 3.2: random structures
 //! are highly symmetric, with `≅_A` coinciding with the decidable
-//! `≅ₗ`. The paper (citing [HH2]) notes a *recursive* random structure
+//! `≅ₗ`. The paper (citing \[HH2\]) notes a *recursive* random structure
 //! exists; we build two:
 //!
 //! * [`rado_graph`] — the classical Rado graph via the BIT predicate

@@ -11,7 +11,7 @@
 //!   a representative, so quantifying over D and over the pool agree.
 //! * [`eval_finite`] — evaluation on a materialized
 //!   [`FiniteStructure`], quantifiers over its universe (the finite
-//!   baseline of [CH]).
+//!   baseline of \[CH\]).
 
 use crate::{Formula, Var};
 use recdb_core::{Database, Elem, FiniteStructure, Tuple};

@@ -1,4 +1,4 @@
-//! Abstract syntax of the QL language family (§3.3, §4; [CH]).
+//! Abstract syntax of the QL language family (§3.3, §4; \[CH\]).
 //!
 //! One AST serves three dialects:
 //!
@@ -13,14 +13,14 @@
 //!   `while |Y|<∞`, and reinterprets `E` and `↑` over `Df`.
 //!
 //! Dialect restrictions are enforced *statically*, before a program
-//! runs: every interpreter's `run` entry point calls
-//! [`crate::dialect::Dialect::check`] as a mandatory pre-pass, so an
-//! illegal test anywhere in the program is rejected up-front with a
-//! [`crate::value::RunError::DialectViolation`]. (The interpreters
-//! keep their interpretation-time checks as defense in depth for
-//! callers driving `exec` directly.) The `recdb-analyze` crate builds
-//! its richer diagnostics — rank/arity inference, lints, spans — on
-//! the same AST.
+//! runs: [`crate::backend::run`], behind every interpreter's `run`,
+//! calls [`crate::dialect::Dialect::check`] as a mandatory pre-pass,
+//! so an illegal test anywhere in the program is rejected up-front
+//! with a [`crate::value::RunError::DialectViolation`].
+//! ([`crate::backend::exec`] repeats the check at each `while` it
+//! reaches, for callers that supply their own environment.) The
+//! `recdb-analyze` crate builds its richer diagnostics — rank/arity
+//! inference, lints, spans — on the same AST.
 
 use std::fmt;
 
@@ -64,7 +64,7 @@ pub enum Term {
     /// `e~` — exchange the two rightmost coordinates.
     Swap(Box<Term>),
     /// `Cₐ` — a domain constant: the rank-1 singleton `{(a)}` naming
-    /// the element `a`. Constants are the [CH] §2.5 extension that
+    /// the element `a`. Constants are the \[CH\] §2.5 extension that
     /// turns plain genericity into *C-genericity*: a program using
     /// `Cₐ` is only expected to commute with permutations fixing `a`.
     /// Over `C_B` representations (QLhs) the constant denotes the
@@ -129,6 +129,39 @@ impl Term {
     }
 }
 
+/// The test of a `while` loop, one per dialect-specific guard.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum LoopKind {
+    /// `while |Y| = 0` (every dialect).
+    Empty,
+    /// `while |Y| = 1` (QLhs only).
+    Singleton,
+    /// `while |Y| < ∞` (QLf+ only).
+    Finite,
+}
+
+impl LoopKind {
+    /// The guard's surface keyword (`while empty(Y1)` etc.).
+    pub fn name(self) -> &'static str {
+        match self {
+            LoopKind::Empty => "empty",
+            LoopKind::Singleton => "single",
+            LoopKind::Finite => "finite",
+        }
+    }
+
+    /// Does the guard hold for a value storing `size` tuples, given
+    /// whether the value is finite (a co-finite value stores its
+    /// complement)? The one definition of the three `while` tests.
+    pub fn holds(self, size: usize, finite: bool) -> bool {
+        match self {
+            LoopKind::Empty => finite && size == 0,
+            LoopKind::Singleton => finite && size == 1,
+            LoopKind::Finite => finite,
+        }
+    }
+}
+
 /// A QL-family program.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Prog {
@@ -153,6 +186,16 @@ impl Prog {
     /// The assignment `Yᵢ ← e`.
     pub fn assign(v: VarId, e: Term) -> Prog {
         Prog::Assign(v, e)
+    }
+
+    /// A `while` node as its test, guard variable and body.
+    pub fn as_loop(&self) -> Option<(LoopKind, VarId, &Prog)> {
+        match self {
+            Prog::WhileEmpty(v, body) => Some((LoopKind::Empty, *v, body)),
+            Prog::WhileSingleton(v, body) => Some((LoopKind::Singleton, *v, body)),
+            Prog::WhileFinite(v, body) => Some((LoopKind::Finite, *v, body)),
+            Prog::Assign(..) | Prog::Seq(_) => None,
+        }
     }
 
     /// Does the program use `while |Y|=1`? (Then it is QLhs-only —
@@ -197,7 +240,7 @@ impl Prog {
 
     /// Every constant symbol mentioned anywhere in the program — the
     /// syntactic upper bound on the set `C` the program's output may
-    /// depend on (C-genericity, [CH] §2.5).
+    /// depend on (C-genericity, \[CH\] §2.5).
     pub fn constants(&self) -> std::collections::BTreeSet<u64> {
         fn go(p: &Prog, out: &mut std::collections::BTreeSet<u64>) {
             match p {
@@ -234,24 +277,15 @@ impl fmt::Display for Prog {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fn go(p: &Prog, f: &mut fmt::Formatter<'_>, indent: usize) -> fmt::Result {
             let pad = "  ".repeat(indent);
-            match p {
-                Prog::Assign(v, e) => writeln!(f, "{pad}Y{} := {e};", v + 1),
-                Prog::Seq(ps) => ps.iter().try_for_each(|q| go(q, f, indent)),
-                Prog::WhileEmpty(v, body) => {
-                    writeln!(f, "{pad}while empty(Y{}) {{", v + 1)?;
+            match (p, p.as_loop()) {
+                (Prog::Assign(v, e), _) => writeln!(f, "{pad}Y{} := {e};", v + 1),
+                (Prog::Seq(ps), _) => ps.iter().try_for_each(|q| go(q, f, indent)),
+                (_, Some((kind, v, body))) => {
+                    writeln!(f, "{pad}while {}(Y{}) {{", kind.name(), v + 1)?;
                     go(body, f, indent + 1)?;
                     writeln!(f, "{pad}}}")
                 }
-                Prog::WhileSingleton(v, body) => {
-                    writeln!(f, "{pad}while single(Y{}) {{", v + 1)?;
-                    go(body, f, indent + 1)?;
-                    writeln!(f, "{pad}}}")
-                }
-                Prog::WhileFinite(v, body) => {
-                    writeln!(f, "{pad}while finite(Y{}) {{", v + 1)?;
-                    go(body, f, indent + 1)?;
-                    writeln!(f, "{pad}}}")
-                }
+                (_, None) => Ok(()),
             }
         }
         go(self, f, 0)

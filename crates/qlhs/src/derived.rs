@@ -2,7 +2,7 @@
 //! computational core).
 //!
 //! The completeness proof rests on two programmability facts quoted
-//! from [CH]: boolean control flow (`if … then … else`) is expressible
+//! from \[CH\]: boolean control flow (`if … then … else`) is expressible
 //! with `while |Y|=0` alone, and "QLhs can be thought of as having
 //! counters: `E↓↓` plays the role of 0, and if `e` plays the role of
 //! the natural number `i`, then `e↑` and `e↓` play the role of `i+1`
@@ -59,12 +59,12 @@ pub fn if_nonempty(cond: VarId, body: Prog, scratch1: VarId, scratch2: VarId) ->
     ])
 }
 
-/// The [CH] derived operator `rank(e)`: computes the rank of the
+/// The \[CH\] derived operator `rank(e)`: computes the rank of the
 /// relation in `src` as a numeral (a nonempty relation of that rank)
 /// in `out`. Implements the counting loop — repeatedly `↓` a working
 /// copy while `↑`-ing the output — with the rank-0-`↓` convention as
 /// the exit test. Requires `src` to hold a **nonempty** value (the
-/// rank of an empty relation is invisible to emptiness tests; [CH]'s
+/// rank of an empty relation is invisible to emptiness tests; \[CH\]'s
 /// programs maintain the same nonemptiness invariant).
 ///
 /// `scratch = [copy, probe, flag, s1]`, all distinct from `src`,
@@ -259,7 +259,7 @@ mod tests {
         let mut interp = HsInterp::new(&hs);
         let mut env: Vec<Val> = Vec::new();
         let mut fuel = Fuel::new(5_000_000);
-        interp.exec(&cc.prog, &mut env, &mut fuel).expect("runs");
+        crate::exec(&mut interp, &cc.prog, &mut env, &mut fuel).expect("runs");
         env
     }
 
@@ -268,12 +268,12 @@ mod tests {
         let hs = infinite_clique();
         let mut interp = HsInterp::new(&hs);
         let mut fuel = Fuel::new(100_000);
-        let t = interp.eval_term(&true_term(), &[], &mut fuel).unwrap();
+        let t = crate::eval_term(&mut interp, &true_term(), &[], &mut fuel).unwrap();
         assert!(t.is_singleton() && t.rank == 0);
-        let f = interp.eval_term(&false_term(), &[], &mut fuel).unwrap();
+        let f = crate::eval_term(&mut interp, &false_term(), &[], &mut fuel).unwrap();
         assert!(f.is_empty() && f.rank == 0);
         for n in 0..4 {
-            let v = interp.eval_term(&numeral(n), &[], &mut fuel).unwrap();
+            let v = crate::eval_term(&mut interp, &numeral(n), &[], &mut fuel).unwrap();
             assert_eq!(v.rank, n);
             assert!(!v.is_empty());
         }
@@ -291,7 +291,7 @@ mod tests {
                 if_empty(1, Prog::assign(0, true_term()), 2),
             ]);
             let mut env = Vec::new();
-            interp.exec(&p, &mut env, &mut Fuel::new(100_000)).unwrap();
+            crate::exec(&mut interp, &p, &mut env, &mut Fuel::new(100_000)).unwrap();
             assert_eq!(!env[0].is_empty(), expect_then, "if_empty({cond})");
 
             let p = Prog::seq([
@@ -300,7 +300,7 @@ mod tests {
                 if_nonempty(1, Prog::assign(0, true_term()), 2, 3),
             ]);
             let mut env = Vec::new();
-            interp.exec(&p, &mut env, &mut Fuel::new(100_000)).unwrap();
+            crate::exec(&mut interp, &p, &mut env, &mut Fuel::new(100_000)).unwrap();
             assert_eq!(!env[0].is_empty(), !expect_then, "if_nonempty({cond})");
         }
     }
@@ -425,9 +425,7 @@ mod rank_tests {
             ]);
             let mut interp = HsInterp::new(&hs);
             let mut env: Vec<Val> = Vec::new();
-            interp
-                .exec(&p, &mut env, &mut Fuel::new(1_000_000))
-                .unwrap();
+            crate::exec(&mut interp, &p, &mut env, &mut Fuel::new(1_000_000)).unwrap();
             assert_eq!(env[0].rank, n, "rank(numeral({n})) = {n}");
             assert!(!env[0].is_empty());
         }
@@ -443,9 +441,7 @@ mod rank_tests {
         ]);
         let mut interp = HsInterp::new(&hs);
         let mut env: Vec<Val> = Vec::new();
-        interp
-            .exec(&p, &mut env, &mut Fuel::new(1_000_000))
-            .unwrap();
+        crate::exec(&mut interp, &p, &mut env, &mut Fuel::new(1_000_000)).unwrap();
         assert_eq!(env[0].rank, 2);
 
         let p = Prog::seq([
@@ -453,9 +449,13 @@ mod rank_tests {
             rank_program(1, 0, [2, 3, 4, 5]),
         ]);
         let mut env: Vec<Val> = Vec::new();
-        HsInterp::new(&hs)
-            .exec(&p, &mut env, &mut Fuel::new(1_000_000))
-            .unwrap();
+        crate::exec(
+            &mut HsInterp::new(&hs),
+            &p,
+            &mut env,
+            &mut Fuel::new(1_000_000),
+        )
+        .unwrap();
         assert_eq!(env[0].rank, 1);
     }
 }

@@ -5,26 +5,28 @@
 //!
 //! | Dialect | `while |Y|=0` | `while |Y|=1` | `while |Y|<∞` |
 //! |---|---|---|---|
-//! | QL (finitary, [CH]) | yes | no (only *definable*, via `perm(D)`) | no |
+//! | QL (finitary, \[CH\]) | yes | no (only *definable*, via `perm(D)`) | no |
 //! | QLhs (§3.3) | yes | yes (primitive; footnote 8) | no |
 //! | QLf+ (§4) | yes | no | yes |
 //!
 //! This module decides dialect membership *syntactically*, before any
 //! interpreter runs: [`Dialect::check`] scans a program for tests the
 //! dialect does not admit and reports the first violation with the
-//! offending node's tree path. All three interpreters call it from
-//! their `run` entry points, so an illegal test anywhere in the
-//! program — even in a branch a given input never reaches — is
-//! rejected up-front instead of surfacing mid-run (or never). The
-//! interpreters keep their interpretation-time checks as defense in
-//! depth for callers that drive [`exec`](crate::HsInterp::exec)
-//! directly with a caller-built environment.
+//! offending node's tree path. The statement executor's
+//! [`run`](crate::backend::run) calls it first, so an illegal test
+//! anywhere in the program — even in a branch a given input never
+//! reaches — is rejected up-front instead of surfacing mid-run (or
+//! never). [`exec`](crate::backend::exec), which callers drive with
+//! their own environment, asks [`Dialect::violation`] at each `while`
+//! it reaches, so both paths report the same
+//! [`DialectViolation::message`].
 //!
 //! The richer static analyzer (`recdb-analyze`) builds its dialect
 //! diagnostics on exactly this checker, so there is one source of
 //! truth for what each dialect admits.
 
-use crate::ast::{NodePath, Prog};
+use crate::ast::{LoopKind, NodePath, Prog};
+use crate::value::RunError;
 use std::fmt;
 
 /// One of the three QL-family dialects.
@@ -68,10 +70,24 @@ impl Dialect {
         self.check_at(p, &mut path)
     }
 
+    /// The violation a `kind` loop at `path` commits, if this dialect
+    /// does not admit its test.
+    pub fn violation(self, kind: LoopKind, path: &[u32]) -> Option<DialectViolation> {
+        let test = match kind {
+            LoopKind::Singleton if !self.admits_singleton_test() => IllegalTest::Singleton,
+            LoopKind::Finite if !self.admits_finiteness_test() => IllegalTest::Finiteness,
+            _ => return None,
+        };
+        Some(DialectViolation {
+            dialect: self,
+            test,
+            path: path.to_vec(),
+        })
+    }
+
     fn check_at(self, p: &Prog, path: &mut NodePath) -> Result<(), DialectViolation> {
-        match p {
-            Prog::Assign(..) => Ok(()),
-            Prog::Seq(ps) => {
+        match (p, p.as_loop()) {
+            (Prog::Seq(ps), _) => {
                 for (i, q) in ps.iter().enumerate() {
                     path.push(i as u32);
                     self.check_at(q, path)?;
@@ -79,35 +95,17 @@ impl Dialect {
                 }
                 Ok(())
             }
-            Prog::WhileEmpty(_, body) => self.check_body(body, path),
-            Prog::WhileSingleton(_, body) => {
-                if !self.admits_singleton_test() {
-                    return Err(DialectViolation {
-                        dialect: self,
-                        test: IllegalTest::Singleton,
-                        path: path.clone(),
-                    });
+            (_, Some((kind, _, body))) => {
+                if let Some(v) = self.violation(kind, path) {
+                    return Err(v);
                 }
-                self.check_body(body, path)
+                path.push(0);
+                let r = self.check_at(body, path);
+                path.pop();
+                r
             }
-            Prog::WhileFinite(_, body) => {
-                if !self.admits_finiteness_test() {
-                    return Err(DialectViolation {
-                        dialect: self,
-                        test: IllegalTest::Finiteness,
-                        path: path.clone(),
-                    });
-                }
-                self.check_body(body, path)
-            }
+            _ => Ok(()),
         }
-    }
-
-    fn check_body(self, body: &Prog, path: &mut NodePath) -> Result<(), DialectViolation> {
-        path.push(0);
-        let r = self.check_at(body, path);
-        path.pop();
-        r
     }
 }
 
@@ -152,9 +150,9 @@ pub struct DialectViolation {
 }
 
 impl DialectViolation {
-    /// The interpreter-facing message — the same wording the
-    /// interpretation-time checks use, so callers matching on message
-    /// content see one vocabulary.
+    /// The interpreter-facing message: every rejection of a
+    /// non-admitted `while` test, static or at run time, carries this
+    /// text in its [`RunError::DialectViolation`].
     pub fn message(&self) -> &'static str {
         match (self.dialect, self.test) {
             (Dialect::Ql, IllegalTest::Singleton) => {
@@ -187,6 +185,12 @@ impl fmt::Display for DialectViolation {
 }
 
 impl std::error::Error for DialectViolation {}
+
+impl From<DialectViolation> for RunError {
+    fn from(v: DialectViolation) -> Self {
+        RunError::DialectViolation(v.message())
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -12,8 +12,10 @@
 //!   (Prop 4.2) — finite (`{()}`) for `n = 1`, co-finite otherwise;
 //! * `while |Y| < ∞` is true iff the value is finite.
 
-use crate::ast::{Prog, Term};
-use crate::value::RunError;
+use crate::ast::Prog;
+use crate::backend::{Backend, NoHooks};
+use crate::dialect::Dialect;
+use crate::value::{drop_first, same_rank, swap_last_two, DeltaValue, RunError};
 use recdb_core::{Elem, Fuel, Tuple};
 use recdb_hsdb::FcfDatabase;
 use std::collections::BTreeSet;
@@ -49,14 +51,34 @@ impl FcfVal {
         }
     }
 
-    /// Is the relation (not the representation) empty?
-    pub fn is_empty_relation(&self) -> bool {
-        self.finite && self.tuples.is_empty()
-    }
-
     /// Membership of a tuple.
     pub fn contains(&self, t: &Tuple) -> bool {
         self.finite == self.tuples.contains(t)
+    }
+}
+
+impl DeltaValue for FcfVal {
+    fn rank(&self) -> usize {
+        self.rank
+    }
+    fn size(&self) -> usize {
+        self.tuples.len()
+    }
+    fn is_finite(&self) -> bool {
+        self.finite
+    }
+    fn finite_tuples(&self) -> Option<&BTreeSet<Tuple>> {
+        self.finite.then_some(&self.tuples)
+    }
+    fn from_tuples(rank: usize, tuples: BTreeSet<Tuple>) -> Self {
+        FcfVal {
+            rank,
+            finite: true,
+            tuples,
+        }
+    }
+    fn empty0() -> Self {
+        FcfVal::empty(0)
     }
 }
 
@@ -65,13 +87,6 @@ pub struct FcfInterp<'a> {
     db: &'a FcfDatabase,
     df: Vec<Elem>,
     seminaive: bool,
-}
-
-impl crate::seminaive::DeltaBackend for &FcfInterp<'_> {
-    type V = FcfVal;
-    fn eval(&mut self, t: &Term, env: &[FcfVal], fuel: &mut Fuel) -> Result<FcfVal, RunError> {
-        self.eval_term(t, env, fuel)
-    }
 }
 
 impl<'a> FcfInterp<'a> {
@@ -85,20 +100,35 @@ impl<'a> FcfInterp<'a> {
     }
 
     /// Toggles the semi-naive loop engine (on by default; see
-    /// [`FinInterp::set_seminaive`](crate::FinInterp::set_seminaive)).
-    /// Loops whose variables hold co-finite values always fall back —
-    /// delta logs represent finite growing relations only.
+    /// [`Backend::set_seminaive`]). Loops whose variables hold
+    /// co-finite values always fall back — delta logs represent finite
+    /// growing relations only.
     pub fn set_seminaive(&mut self, on: bool) {
         self.seminaive = on;
     }
 
-    /// Is the semi-naive loop engine on?
-    pub fn seminaive(&self) -> bool {
+    /// Runs a program; the result is `Y₁`. The QLf+ dialect check runs
+    /// first: a `while |Y|=1` anywhere in the program is rejected
+    /// up-front.
+    pub fn run(&mut self, p: &Prog, fuel: &mut Fuel) -> Result<FcfVal, RunError> {
+        crate::backend::run(self, p, fuel, &mut NoHooks)
+    }
+}
+
+impl Backend for FcfInterp<'_> {
+    type V = FcfVal;
+    const DIALECT: Dialect = Dialect::QlfPlus;
+
+    fn seminaive(&self) -> bool {
         self.seminaive
     }
 
+    fn set_seminaive(&mut self, on: bool) {
+        self.seminaive = on;
+    }
+
     /// `E = {(a,a) | a ∈ Df}` — always finite.
-    pub fn op_e(&self) -> FcfVal {
+    fn op_e(&mut self) -> FcfVal {
         FcfVal {
             rank: 2,
             finite: true,
@@ -106,8 +136,8 @@ impl<'a> FcfInterp<'a> {
         }
     }
 
-    /// Stored relation `Rᵢ` in its §4 representation, bounds-checked.
-    pub fn op_rel(&self, i: usize) -> Result<FcfVal, RunError> {
+    /// Stored relation `Rᵢ` in its §4 representation.
+    fn op_rel(&mut self, i: usize) -> Result<FcfVal, RunError> {
         let Some(rel) = self.db.relations().get(i) else {
             return Err(RunError::NoSuchRelation(i));
         };
@@ -118,8 +148,9 @@ impl<'a> FcfInterp<'a> {
         })
     }
 
-    /// The finite rank-1 singleton `{(a)}`.
-    pub fn op_const(&self, c: u64) -> FcfVal {
+    /// The finite rank-1 singleton `{(a)}`, whether or not `a ∈ Df`
+    /// (constants name domain elements, and the domain is all of ℕ).
+    fn op_const(&mut self, c: u64) -> FcfVal {
         FcfVal {
             rank: 1,
             finite: true,
@@ -127,52 +158,35 @@ impl<'a> FcfInterp<'a> {
         }
     }
 
-    /// Intersection by the four finite∕co-finite cases; ranks must
-    /// agree.
-    pub fn op_and(x: &FcfVal, y: &FcfVal) -> Result<FcfVal, RunError> {
-        if x.rank != y.rank {
-            return Err(RunError::RankMismatch {
-                left: x.rank,
-                right: y.rank,
-            });
-        }
-        Ok(match (x.finite, y.finite) {
-            (true, true) => FcfVal {
-                rank: x.rank,
-                finite: true,
-                tuples: x.tuples.intersection(&y.tuples).cloned().collect(),
-            },
+    /// Intersection by the four finite∕co-finite cases.
+    fn op_and(&mut self, x: &FcfVal, y: &FcfVal) -> Result<FcfVal, RunError> {
+        same_rank(x.rank, y.rank)?;
+        let (finite, tuples) = match (x.finite, y.finite) {
+            (true, true) => (true, x.tuples.intersection(&y.tuples).cloned().collect()),
             // Finite ∩ co-finite: remove the complement's tuples from
             // the finite side (the paper's e ∖ (¬f) computation).
-            (true, false) => FcfVal {
-                rank: x.rank,
-                finite: true,
-                tuples: x.tuples.difference(&y.tuples).cloned().collect(),
-            },
-            (false, true) => FcfVal {
-                rank: x.rank,
-                finite: true,
-                tuples: y.tuples.difference(&x.tuples).cloned().collect(),
-            },
+            (true, false) => (true, x.tuples.difference(&y.tuples).cloned().collect()),
+            (false, true) => (true, y.tuples.difference(&x.tuples).cloned().collect()),
             // Co-finite ∩ co-finite: complement is the union.
-            (false, false) => FcfVal {
-                rank: x.rank,
-                finite: false,
-                tuples: x.tuples.union(&y.tuples).cloned().collect(),
-            },
+            (false, false) => (false, x.tuples.union(&y.tuples).cloned().collect()),
+        };
+        Ok(FcfVal {
+            rank: x.rank,
+            finite,
+            tuples,
         })
     }
 
     /// `¬x` flips the indicator (tick-free).
-    pub fn op_not(x: &FcfVal) -> FcfVal {
+    fn op_not(&mut self, x: &FcfVal, _: &mut Fuel) -> Result<FcfVal, RunError> {
         let mut x = x.clone();
         x.finite = !x.finite;
-        x
+        Ok(x)
     }
 
     /// `x↑ = x × Df`, defined only for finite `x`; ticks once per
     /// output tuple.
-    pub fn op_up(&self, x: &FcfVal, fuel: &mut Fuel) -> Result<FcfVal, RunError> {
+    fn op_up(&mut self, x: &FcfVal, fuel: &mut Fuel) -> Result<FcfVal, RunError> {
         if !x.finite {
             return Err(RunError::UpOnInfinite);
         }
@@ -191,168 +205,36 @@ impl<'a> FcfInterp<'a> {
     }
 
     /// `x↓` with the Prop 4.2 co-finite cases.
-    pub fn op_down(x: &FcfVal) -> Result<FcfVal, RunError> {
-        if x.rank == 0 {
-            return Ok(FcfVal::empty(0));
-        }
-        if x.finite {
-            Ok(FcfVal {
+    fn op_down(&mut self, x: &FcfVal, _: &mut Fuel) -> Result<FcfVal, RunError> {
+        Ok(match (x.rank, x.finite) {
+            (0, _) => FcfVal::empty(0),
+            (_, true) => FcfVal {
                 rank: x.rank - 1,
                 finite: true,
-                tuples: x
-                    .tuples
-                    .iter()
-                    .map(|u| {
-                        u.drop_first()
-                            .ok_or(RunError::Internal("↓ on a tuple shorter than its rank"))
-                    })
-                    .collect::<Result<_, _>>()?,
-            })
-        } else if x.rank == 1 {
+                tuples: drop_first(&x.tuples)?,
+            },
             // Prop 4.2: co-finite R ⊆ D¹ projects to D⁰ = {()}.
-            Ok(FcfVal {
+            (1, false) => FcfVal {
                 rank: 0,
                 finite: true,
                 tuples: [Tuple::empty()].into_iter().collect(),
-            })
-        } else {
+            },
             // Prop 4.2: R↓ = Dⁿ⁻¹, co-finite with empty complement.
-            Ok(FcfVal::full(x.rank - 1))
-        }
+            (_, false) => FcfVal::full(x.rank - 1),
+        })
     }
 
     /// `x~` swaps the finite part, preserving the indicator (swapping
     /// commutes with complementation).
-    pub fn op_swap(x: &FcfVal) -> Result<FcfVal, RunError> {
+    fn op_swap(&mut self, x: &FcfVal, _: &mut Fuel) -> Result<FcfVal, RunError> {
         if x.rank < 2 {
             return Ok(x.clone());
         }
         Ok(FcfVal {
             rank: x.rank,
             finite: x.finite,
-            tuples: x
-                .tuples
-                .iter()
-                .map(|u| {
-                    u.swap_last_two()
-                        .ok_or(RunError::Internal("swap on a tuple shorter than its rank"))
-                })
-                .collect::<Result<_, _>>()?,
+            tuples: swap_last_two(&x.tuples)?,
         })
-    }
-
-    /// Evaluates a term. One fuel tick per term node at entry; the
-    /// per-op primitives above carry the data-dependent ticks and are
-    /// shared with the bytecode VM.
-    pub fn eval_term(&self, t: &Term, env: &[FcfVal], fuel: &mut Fuel) -> Result<FcfVal, RunError> {
-        fuel.tick()?;
-        Ok(match t {
-            Term::E => self.op_e(),
-            Term::Rel(i) => self.op_rel(*i)?,
-            Term::Var(v) => env.get(*v).cloned().unwrap_or_else(|| FcfVal::empty(0)),
-            // A constant is the finite rank-1 singleton `{(a)}`,
-            // whether or not `a ∈ Df` (constants name domain elements,
-            // and the domain is all of ℕ).
-            Term::Const(c) => self.op_const(*c),
-            Term::And(a, b) => {
-                let x = self.eval_term(a, env, fuel)?;
-                let y = self.eval_term(b, env, fuel)?;
-                Self::op_and(&x, &y)?
-            }
-            Term::Not(e) => {
-                let x = self.eval_term(e, env, fuel)?;
-                Self::op_not(&x)
-            }
-            Term::Up(e) => {
-                let x = self.eval_term(e, env, fuel)?;
-                self.op_up(&x, fuel)?
-            }
-            Term::Down(e) => {
-                let x = self.eval_term(e, env, fuel)?;
-                Self::op_down(&x)?
-            }
-            Term::Swap(e) => {
-                let x = self.eval_term(e, env, fuel)?;
-                Self::op_swap(&x)?
-            }
-        })
-    }
-
-    /// Runs a program; result is `Y₁`.
-    ///
-    /// The QLf+ dialect check runs first: a `while |Y|=1` anywhere in
-    /// the program — reachable or not — is rejected up-front.
-    pub fn run(&self, p: &Prog, fuel: &mut Fuel) -> Result<FcfVal, RunError> {
-        crate::dialect::Dialect::QlfPlus
-            .check(p)
-            .map_err(|v| RunError::DialectViolation(v.message()))?;
-        let nvars = p.max_var().map_or(1, |m| m + 1);
-        let mut env = vec![FcfVal::empty(0); nvars.max(1)];
-        self.exec(p, &mut env, fuel)?;
-        Ok(env[0].clone())
-    }
-
-    /// Runs a program in a caller-supplied environment.
-    pub fn exec(&self, p: &Prog, env: &mut Vec<FcfVal>, fuel: &mut Fuel) -> Result<(), RunError> {
-        fuel.tick()?;
-        match p {
-            Prog::Assign(v, e) => {
-                let val = self.eval_term(e, env, fuel)?;
-                if *v >= env.len() {
-                    env.resize(*v + 1, FcfVal::empty(0));
-                }
-                env[*v] = val;
-            }
-            Prog::Seq(ps) => {
-                for q in ps {
-                    self.exec(q, env, fuel)?;
-                }
-            }
-            Prog::WhileEmpty(v, body) => {
-                let done = self.seminaive
-                    && crate::seminaive::try_loop(
-                        &mut &*self,
-                        crate::seminaive::LoopKind::Empty,
-                        *v,
-                        body,
-                        env,
-                        fuel,
-                        &mut crate::seminaive::NoHooks,
-                    )
-                    .is_done();
-                if !done {
-                    while env.get(*v).is_none_or(FcfVal::is_empty_relation) {
-                        fuel.tick()?;
-                        self.exec(body, env, fuel)?;
-                    }
-                }
-            }
-            Prog::WhileFinite(v, body) => {
-                let done = self.seminaive
-                    && crate::seminaive::try_loop(
-                        &mut &*self,
-                        crate::seminaive::LoopKind::Finite,
-                        *v,
-                        body,
-                        env,
-                        fuel,
-                        &mut crate::seminaive::NoHooks,
-                    )
-                    .is_done();
-                if !done {
-                    while env.get(*v).is_none_or(|x| x.finite) {
-                        fuel.tick()?;
-                        self.exec(body, env, fuel)?;
-                    }
-                }
-            }
-            Prog::WhileSingleton(..) => {
-                return Err(RunError::DialectViolation(
-                    "while |Y|=1 is a QLhs primitive, not part of QLf+",
-                ))
-            }
-        }
-        Ok(())
     }
 }
 

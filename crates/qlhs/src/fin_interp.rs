@@ -1,7 +1,7 @@
 //! The finitary QL interpreter — the Chandra–Harel baseline.
 //!
 //! QL is complete for computable queries over **finite** databases
-//! [CH]. Values are plain finite relations over the structure's
+//! \[CH\]. Values are plain finite relations over the structure's
 //! universe `D`; `E = {(a,a) | a ∈ D}`, `¬e = Dⁿ ∖ e`, `e↑ = e × D`,
 //! `e↓` projects out the first coordinate, `e~` swaps the two
 //! rightmost coordinates. The only test is `while |Y| = 0` —
@@ -9,8 +9,10 @@
 //! so admitting it as primitive here would blur the E13 ablation;
 //! this interpreter rejects it.
 
-use crate::ast::{Prog, Term};
-use crate::value::{RunError, Val};
+use crate::ast::Prog;
+use crate::backend::{Backend, NoHooks};
+use crate::dialect::Dialect;
+use crate::value::{drop_first, swap_last_two, RunError, Val};
 use recdb_core::{Elem, FiniteStructure, Fuel, Tuple};
 use std::collections::BTreeSet;
 
@@ -18,13 +20,6 @@ use std::collections::BTreeSet;
 pub struct FinInterp<'a> {
     st: &'a FiniteStructure,
     seminaive: bool,
-}
-
-impl crate::seminaive::DeltaBackend for &FinInterp<'_> {
-    type V = Val;
-    fn eval(&mut self, t: &Term, env: &[Val], fuel: &mut Fuel) -> Result<Val, RunError> {
-        self.eval_term(t, env, fuel)
-    }
 }
 
 impl<'a> FinInterp<'a> {
@@ -36,127 +31,21 @@ impl<'a> FinInterp<'a> {
         }
     }
 
-    /// Toggles the semi-naive loop engine (on by default). Turning it
-    /// off forces every `while` through the from-scratch path — the
-    /// differential oracle the `SEMI-NAIVE-DIFF` conformance check
-    /// compares against.
+    /// Toggles the semi-naive loop engine (on by default; see
+    /// [`Backend::set_seminaive`]).
     pub fn set_seminaive(&mut self, on: bool) {
         self.seminaive = on;
     }
 
-    /// Is the semi-naive loop engine on?
-    pub fn seminaive(&self) -> bool {
-        self.seminaive
+    /// Runs a program; the result is `Y₁`. The QL dialect check runs
+    /// first: a `while |Y|=1` or `while |Y|<∞` anywhere in the program
+    /// is rejected up-front.
+    pub fn run(&mut self, p: &Prog, fuel: &mut Fuel) -> Result<Val, RunError> {
+        crate::backend::run(self, p, fuel, &mut NoHooks)
     }
 
     fn universe(&self) -> &[Elem] {
         self.st.universe()
-    }
-
-    /// The diagonal `E = {(a,a) | a ∈ D}`.
-    pub fn op_e(&self) -> Val {
-        Val {
-            rank: 2,
-            tuples: self
-                .universe()
-                .iter()
-                .map(|&a| Tuple::from(vec![a, a]))
-                .collect(),
-        }
-    }
-
-    /// Stored relation `Rᵢ` (0-based), bounds-checked against the
-    /// schema.
-    pub fn op_rel(&self, i: usize) -> Result<Val, RunError> {
-        if i >= self.st.schema().len() {
-            return Err(RunError::NoSuchRelation(i));
-        }
-        Ok(Val {
-            rank: self.st.schema().arity(i),
-            tuples: self.st.relation(i).clone(),
-        })
-    }
-
-    /// The constant singleton `Cₐ = {(a)}`.
-    pub fn op_const(&self, c: u64) -> Val {
-        Val {
-            rank: 1,
-            tuples: [Tuple::from_values([c])].into_iter().collect(),
-        }
-    }
-
-    /// Intersection `x ∩ y`; ranks must agree.
-    pub fn op_and(x: &Val, y: &Val) -> Result<Val, RunError> {
-        if x.rank != y.rank {
-            return Err(RunError::RankMismatch {
-                left: x.rank,
-                right: y.rank,
-            });
-        }
-        Ok(Val {
-            rank: x.rank,
-            tuples: x.tuples.intersection(&y.tuples).cloned().collect(),
-        })
-    }
-
-    /// Complement `¬x = Dⁿ ∖ x`; ticks once per enumerated tuple.
-    pub fn op_not(&self, x: &Val, fuel: &mut Fuel) -> Result<Val, RunError> {
-        let all = self.full(x.rank, fuel)?;
-        Ok(Val {
-            rank: x.rank,
-            tuples: all.difference(&x.tuples).cloned().collect(),
-        })
-    }
-
-    /// Cylindrification `x↑ = x × D`; ticks once per output tuple.
-    pub fn op_up(&self, x: &Val, fuel: &mut Fuel) -> Result<Val, RunError> {
-        let mut out = BTreeSet::new();
-        for u in &x.tuples {
-            for &a in self.universe() {
-                fuel.tick()?;
-                out.insert(u.extend(a));
-            }
-        }
-        Ok(Val {
-            rank: x.rank + 1,
-            tuples: out,
-        })
-    }
-
-    /// Projection `x↓` drops the first coordinate.
-    pub fn op_down(x: &Val) -> Result<Val, RunError> {
-        if x.rank == 0 {
-            return Ok(Val::empty(0));
-        }
-        Ok(Val {
-            rank: x.rank - 1,
-            tuples: x
-                .tuples
-                .iter()
-                .map(|u| {
-                    u.drop_first()
-                        .ok_or(RunError::Internal("↓ on a tuple shorter than its rank"))
-                })
-                .collect::<Result<_, _>>()?,
-        })
-    }
-
-    /// `x~` swaps the two rightmost coordinates (identity below rank 2).
-    pub fn op_swap(x: &Val) -> Result<Val, RunError> {
-        if x.rank < 2 {
-            return Ok(x.clone());
-        }
-        Ok(Val {
-            rank: x.rank,
-            tuples: x
-                .tuples
-                .iter()
-                .map(|u| {
-                    u.swap_last_two()
-                        .ok_or(RunError::Internal("swap on a tuple shorter than its rank"))
-                })
-                .collect::<Result<_, _>>()?,
-        })
     }
 
     /// All tuples of rank `n` over the universe — the complement base.
@@ -174,108 +63,99 @@ impl<'a> FinInterp<'a> {
         }
         Ok(out)
     }
+}
 
-    /// Evaluates a term. One fuel tick per term node at entry; the
-    /// per-op primitives above carry the data-dependent ticks — the
-    /// bytecode VM calls the same primitives, so the two executors
-    /// share semantics by construction.
-    pub fn eval_term(&self, t: &Term, env: &[Val], fuel: &mut Fuel) -> Result<Val, RunError> {
-        fuel.tick()?;
-        Ok(match t {
-            Term::E => self.op_e(),
-            Term::Rel(i) => self.op_rel(*i)?,
-            Term::Var(v) => env.get(*v).cloned().unwrap_or_else(|| Val::empty(0)),
-            // `Cₐ = {(a)}` whether or not `a` lies in this structure's
-            // universe — constants name elements of the ambient domain,
-            // and structures are finite windows onto it. (`¬Cₐ` still
-            // complements within the universe.)
-            Term::Const(c) => self.op_const(*c),
-            Term::And(a, b) => {
-                let x = self.eval_term(a, env, fuel)?;
-                let y = self.eval_term(b, env, fuel)?;
-                Self::op_and(&x, &y)?
-            }
-            Term::Not(e) => {
-                let x = self.eval_term(e, env, fuel)?;
-                self.op_not(&x, fuel)?
-            }
-            Term::Up(e) => {
-                let x = self.eval_term(e, env, fuel)?;
-                self.op_up(&x, fuel)?
-            }
-            Term::Down(e) => {
-                let x = self.eval_term(e, env, fuel)?;
-                Self::op_down(&x)?
-            }
-            Term::Swap(e) => {
-                let x = self.eval_term(e, env, fuel)?;
-                Self::op_swap(&x)?
-            }
+impl Backend for FinInterp<'_> {
+    type V = Val;
+    const DIALECT: Dialect = Dialect::Ql;
+
+    fn seminaive(&self) -> bool {
+        self.seminaive
+    }
+
+    fn set_seminaive(&mut self, on: bool) {
+        self.seminaive = on;
+    }
+
+    /// `E = {(a,a) | a ∈ D}`.
+    fn op_e(&mut self) -> Val {
+        Val {
+            rank: 2,
+            tuples: self
+                .universe()
+                .iter()
+                .map(|&a| Tuple::from(vec![a, a]))
+                .collect(),
+        }
+    }
+
+    fn op_rel(&mut self, i: usize) -> Result<Val, RunError> {
+        if i >= self.st.schema().len() {
+            return Err(RunError::NoSuchRelation(i));
+        }
+        Ok(Val {
+            rank: self.st.schema().arity(i),
+            tuples: self.st.relation(i).clone(),
         })
     }
 
-    /// Runs a program; result is `Y₁`.
-    ///
-    /// The QL dialect check runs first: a `while |Y|=1` or
-    /// `while |Y|<∞` anywhere in the program — reachable or not — is
-    /// rejected up-front.
-    pub fn run(&self, p: &Prog, fuel: &mut Fuel) -> Result<Val, RunError> {
-        crate::dialect::Dialect::Ql
-            .check(p)
-            .map_err(|v| RunError::DialectViolation(v.message()))?;
-        let nvars = p.max_var().map_or(1, |m| m + 1);
-        let mut env = vec![Val::empty(0); nvars.max(1)];
-        self.exec(p, &mut env, fuel)?;
-        Ok(env[0].clone())
+    /// `Cₐ = {(a)}` whether or not `a` lies in this structure's
+    /// universe — constants name elements of the ambient domain, and
+    /// structures are finite windows onto it. (`¬Cₐ` still complements
+    /// within the universe.)
+    fn op_const(&mut self, c: u64) -> Val {
+        Val {
+            rank: 1,
+            tuples: [Tuple::from_values([c])].into_iter().collect(),
+        }
     }
 
-    /// Runs a program in a caller-supplied environment.
-    pub fn exec(&self, p: &Prog, env: &mut Vec<Val>, fuel: &mut Fuel) -> Result<(), RunError> {
-        fuel.tick()?;
-        match p {
-            Prog::Assign(v, e) => {
-                let val = self.eval_term(e, env, fuel)?;
-                if *v >= env.len() {
-                    env.resize(*v + 1, Val::empty(0));
-                }
-                env[*v] = val;
-            }
-            Prog::Seq(ps) => {
-                for q in ps {
-                    self.exec(q, env, fuel)?;
-                }
-            }
-            Prog::WhileEmpty(v, body) => {
-                let done = self.seminaive
-                    && crate::seminaive::try_loop(
-                        &mut &*self,
-                        crate::seminaive::LoopKind::Empty,
-                        *v,
-                        body,
-                        env,
-                        fuel,
-                        &mut crate::seminaive::NoHooks,
-                    )
-                    .is_done();
-                if !done {
-                    while env.get(*v).is_none_or(Val::is_empty) {
-                        fuel.tick()?;
-                        self.exec(body, env, fuel)?;
-                    }
-                }
-            }
-            Prog::WhileSingleton(..) => {
-                return Err(RunError::DialectViolation(
-                    "while |Y|=1 is a QLhs primitive; in finitary QL it is only definable",
-                ))
-            }
-            Prog::WhileFinite(..) => {
-                return Err(RunError::DialectViolation(
-                    "while |Y|<∞ is a QLf+ construct",
-                ))
+    fn op_and(&mut self, x: &Val, y: &Val) -> Result<Val, RunError> {
+        x.and(y)
+    }
+
+    /// `¬x = Dⁿ ∖ x`; ticks once per enumerated tuple.
+    fn op_not(&mut self, x: &Val, fuel: &mut Fuel) -> Result<Val, RunError> {
+        let all = self.full(x.rank, fuel)?;
+        Ok(Val {
+            rank: x.rank,
+            tuples: all.difference(&x.tuples).cloned().collect(),
+        })
+    }
+
+    /// `x↑ = x × D`; ticks once per output tuple.
+    fn op_up(&mut self, x: &Val, fuel: &mut Fuel) -> Result<Val, RunError> {
+        let mut out = BTreeSet::new();
+        for u in &x.tuples {
+            for &a in self.universe() {
+                fuel.tick()?;
+                out.insert(u.extend(a));
             }
         }
-        Ok(())
+        Ok(Val {
+            rank: x.rank + 1,
+            tuples: out,
+        })
+    }
+
+    fn op_down(&mut self, x: &Val, _: &mut Fuel) -> Result<Val, RunError> {
+        if x.rank == 0 {
+            return Ok(Val::empty(0));
+        }
+        Ok(Val {
+            rank: x.rank - 1,
+            tuples: drop_first(&x.tuples)?,
+        })
+    }
+
+    fn op_swap(&mut self, x: &Val, _: &mut Fuel) -> Result<Val, RunError> {
+        if x.rank < 2 {
+            return Ok(x.clone());
+        }
+        Ok(Val {
+            rank: x.rank,
+            tuples: swap_last_two(&x.tuples)?,
+        })
     }
 }
 

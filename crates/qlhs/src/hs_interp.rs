@@ -7,7 +7,9 @@
 //! the highly recursive tree for `E`/`↑`/`¬` and the `≅_B` oracle for
 //! `↓`/`~`, exactly as the Theorem 3.1 soundness argument describes.
 
-use crate::ast::{Prog, Term};
+use crate::ast::Prog;
+use crate::backend::{Backend, NoHooks};
+use crate::dialect::Dialect;
 use crate::value::{RunError, Val};
 use recdb_core::{Fuel, Tuple, TupleId, TupleInterner};
 use recdb_hsdb::HsDatabase;
@@ -26,13 +28,6 @@ pub struct HsInterp<'a> {
     seminaive: bool,
 }
 
-impl crate::seminaive::DeltaBackend for HsInterp<'_> {
-    type V = Val;
-    fn eval(&mut self, t: &Term, env: &[Val], fuel: &mut Fuel) -> Result<Val, RunError> {
-        self.eval_term(t, env, fuel)
-    }
-}
-
 impl<'a> HsInterp<'a> {
     /// Binds an interpreter to a database representation.
     pub fn new(hs: &'a HsDatabase) -> Self {
@@ -46,17 +41,19 @@ impl<'a> HsInterp<'a> {
     }
 
     /// Toggles the semi-naive loop engine (on by default; see
-    /// [`FinInterp::set_seminaive`](crate::FinInterp::set_seminaive)).
-    /// Either way the canonicalization cache (`canon`) persists across
-    /// iterations and across loops, so `↓`/`~` memo state stays warm
-    /// under delta evaluation instead of being recomputed.
+    /// [`Backend::set_seminaive`]). Either way the canonicalization
+    /// cache (`canon`) persists across iterations and across loops, so
+    /// `↓`/`~` memo state stays warm under delta evaluation instead of
+    /// being recomputed.
     pub fn set_seminaive(&mut self, on: bool) {
         self.seminaive = on;
     }
 
-    /// Is the semi-naive loop engine on?
-    pub fn seminaive(&self) -> bool {
-        self.seminaive
+    /// Runs a program; the result is the final value of `Y₁`
+    /// (variable 0), as in §3.3. The QLhs dialect check runs first: a
+    /// `while |Y|<∞` anywhere in the program is rejected up-front.
+    pub fn run(&mut self, p: &Prog, fuel: &mut Fuel) -> Result<Val, RunError> {
+        crate::backend::run(self, p, fuel, &mut NoHooks)
     }
 
     fn level(&mut self, n: usize) -> &[Tuple] {
@@ -79,22 +76,51 @@ impl<'a> HsInterp<'a> {
         c
     }
 
-    /// The diagonal classes of `T²`.
-    pub fn op_e(&mut self) -> Val {
-        let diag: BTreeSet<Tuple> = self
-            .level(2)
-            .to_vec()
-            .into_iter()
-            .filter(|t| t[0] == t[1])
-            .collect();
-        Val {
-            rank: 2,
-            tuples: diag,
+    /// Canonical representatives of `f(u)` for every `u ∈ x`, one tick
+    /// each — `↓` and `~` through the `≅_B` oracle.
+    fn canonical_map(
+        &mut self,
+        x: &Val,
+        rank: usize,
+        fuel: &mut Fuel,
+        f: fn(&Tuple) -> Option<Tuple>,
+        short: &'static str,
+    ) -> Result<Val, RunError> {
+        let mut out = BTreeSet::new();
+        for u in &x.tuples {
+            fuel.tick()?;
+            let v = f(u).ok_or(RunError::Internal(short))?;
+            out.insert(self.canonical(&v));
         }
+        Ok(Val { rank, tuples: out })
+    }
+}
+
+impl Backend for HsInterp<'_> {
+    type V = Val;
+    const DIALECT: Dialect = Dialect::Qlhs;
+
+    fn seminaive(&self) -> bool {
+        self.seminaive
     }
 
-    /// Stored relation `Rᵢ`'s representatives, bounds-checked.
-    pub fn op_rel(&self, i: usize) -> Result<Val, RunError> {
+    fn set_seminaive(&mut self, on: bool) {
+        self.seminaive = on;
+    }
+
+    /// The diagonal classes of `T²`.
+    fn op_e(&mut self) -> Val {
+        let tuples = self
+            .level(2)
+            .iter()
+            .filter(|t| t[0] == t[1])
+            .cloned()
+            .collect();
+        Val { rank: 2, tuples }
+    }
+
+    /// Stored relation `Rᵢ`'s representatives.
+    fn op_rel(&mut self, i: usize) -> Result<Val, RunError> {
         if i >= self.hs.schema().len() {
             return Err(RunError::NoSuchRelation(i));
         }
@@ -104,9 +130,10 @@ impl<'a> HsInterp<'a> {
         })
     }
 
-    /// `Cₐ` as the whole `≅_B`-class of `a` — the canonical rep of
-    /// `(a)` in `T¹` (values are unions of classes, never elements).
-    pub fn op_const(&mut self, c: u64) -> Val {
+    /// Over a `C_B` representation a constant cannot name a single
+    /// element — values are unions of `≅_B`-classes — so `Cₐ` denotes
+    /// the whole class of `a`: the canonical rep of `(a)` in `T¹`.
+    fn op_const(&mut self, c: u64) -> Val {
         let rep = self.canonical(&Tuple::from_values([c]));
         Val {
             rank: 1,
@@ -114,32 +141,27 @@ impl<'a> HsInterp<'a> {
         }
     }
 
-    /// Intersection `x ∩ y`; ranks must agree.
-    pub fn op_and(x: &Val, y: &Val) -> Result<Val, RunError> {
-        if x.rank != y.rank {
-            return Err(RunError::RankMismatch {
-                left: x.rank,
-                right: y.rank,
-            });
-        }
-        Ok(Val {
-            rank: x.rank,
-            tuples: x.tuples.intersection(&y.tuples).cloned().collect(),
-        })
+    fn op_and(&mut self, x: &Val, y: &Val) -> Result<Val, RunError> {
+        x.and(y)
     }
 
     /// Complement within the `Tⁿ` level (tick-free: the level cache
-    /// makes it a set difference).
-    pub fn op_not(&mut self, x: &Val) -> Val {
-        let all: BTreeSet<Tuple> = self.level(x.rank).iter().cloned().collect();
-        Val {
+    /// makes it a filter).
+    fn op_not(&mut self, x: &Val, _: &mut Fuel) -> Result<Val, RunError> {
+        let tuples = self
+            .level(x.rank)
+            .iter()
+            .filter(|t| !x.tuples.contains(*t))
+            .cloned()
+            .collect();
+        Ok(Val {
             rank: x.rank,
-            tuples: all.difference(&x.tuples).cloned().collect(),
-        }
+            tuples,
+        })
     }
 
     /// `x↑` collects tree offspring; ticks once per child.
-    pub fn op_up(&mut self, x: &Val, fuel: &mut Fuel) -> Result<Val, RunError> {
+    fn op_up(&mut self, x: &Val, fuel: &mut Fuel) -> Result<Val, RunError> {
         let mut out = BTreeSet::new();
         for u in &x.tuples {
             for a in self.hs.tree().offspring(u) {
@@ -154,160 +176,21 @@ impl<'a> HsInterp<'a> {
     }
 
     /// `x↓` via the `≅_B` oracle; ticks once per tuple.
-    pub fn op_down(&mut self, x: &Val, fuel: &mut Fuel) -> Result<Val, RunError> {
+    fn op_down(&mut self, x: &Val, fuel: &mut Fuel) -> Result<Val, RunError> {
         if x.rank == 0 {
-            // Convention: ↓ below rank 0 is the empty rank-0 relation
-            // (this is what makes "test e↓ for emptiness" a zero-test
-            // for rank-counters).
             return Ok(Val::empty(0));
         }
-        let mut out = BTreeSet::new();
-        for u in &x.tuples {
-            fuel.tick()?;
-            let dropped = u
-                .drop_first()
-                .ok_or(RunError::Internal("↓ on a tuple shorter than its rank"))?;
-            out.insert(self.canonical(&dropped));
-        }
-        Ok(Val {
-            rank: x.rank - 1,
-            tuples: out,
-        })
+        let short = "↓ on a tuple shorter than its rank";
+        self.canonical_map(x, x.rank - 1, fuel, Tuple::drop_first, short)
     }
 
-    /// `x~` via the `≅_B` oracle; ticks once per tuple (identity below
-    /// rank 2).
-    pub fn op_swap(&mut self, x: &Val, fuel: &mut Fuel) -> Result<Val, RunError> {
+    /// `x~` via the `≅_B` oracle; ticks once per tuple.
+    fn op_swap(&mut self, x: &Val, fuel: &mut Fuel) -> Result<Val, RunError> {
         if x.rank < 2 {
-            return Ok(x.clone()); // nothing to exchange
+            return Ok(x.clone());
         }
-        let mut out = BTreeSet::new();
-        for u in &x.tuples {
-            fuel.tick()?;
-            let swapped = u
-                .swap_last_two()
-                .ok_or(RunError::Internal("swap on a tuple shorter than its rank"))?;
-            out.insert(self.canonical(&swapped));
-        }
-        Ok(Val {
-            rank: x.rank,
-            tuples: out,
-        })
-    }
-
-    /// Evaluates a term in an environment. One fuel tick per term node
-    /// at entry; the per-op primitives above carry the data-dependent
-    /// ticks and are shared with the bytecode VM.
-    pub fn eval_term(&mut self, t: &Term, env: &[Val], fuel: &mut Fuel) -> Result<Val, RunError> {
-        fuel.tick()?;
-        Ok(match t {
-            Term::E => self.op_e(),
-            Term::Rel(i) => self.op_rel(*i)?,
-            Term::Var(v) => env.get(*v).cloned().unwrap_or_else(|| Val::empty(0)),
-            // Over a `C_B` representation a constant cannot name a
-            // single element — values are unions of `≅_B`-classes — so
-            // `Cₐ` denotes the whole class of `a`, i.e. the canonical
-            // representative of `(a)` in `T¹`.
-            Term::Const(c) => self.op_const(*c),
-            Term::And(a, b) => {
-                let x = self.eval_term(a, env, fuel)?;
-                let y = self.eval_term(b, env, fuel)?;
-                Self::op_and(&x, &y)?
-            }
-            Term::Not(e) => {
-                let x = self.eval_term(e, env, fuel)?;
-                self.op_not(&x)
-            }
-            Term::Up(e) => {
-                let x = self.eval_term(e, env, fuel)?;
-                self.op_up(&x, fuel)?
-            }
-            Term::Down(e) => {
-                let x = self.eval_term(e, env, fuel)?;
-                self.op_down(&x, fuel)?
-            }
-            Term::Swap(e) => {
-                let x = self.eval_term(e, env, fuel)?;
-                self.op_swap(&x, fuel)?
-            }
-        })
-    }
-
-    /// Runs a program; the result is the final value of `Y₁`
-    /// (variable 0), as in §3.3.
-    ///
-    /// The QLhs dialect check runs first: a `while |Y|<∞` anywhere in
-    /// the program — reachable or not — is rejected up-front.
-    pub fn run(&mut self, p: &Prog, fuel: &mut Fuel) -> Result<Val, RunError> {
-        crate::dialect::Dialect::Qlhs
-            .check(p)
-            .map_err(|v| RunError::DialectViolation(v.message()))?;
-        let nvars = p.max_var().map_or(1, |m| m + 1);
-        let mut env = vec![Val::empty(0); nvars.max(1)];
-        self.exec(p, &mut env, fuel)?;
-        Ok(env[0].clone())
-    }
-
-    /// Runs a program in a caller-supplied environment (for staged
-    /// computations that pre-load inputs into variables).
-    pub fn exec(&mut self, p: &Prog, env: &mut Vec<Val>, fuel: &mut Fuel) -> Result<(), RunError> {
-        fuel.tick()?;
-        match p {
-            Prog::Assign(v, e) => {
-                let val = self.eval_term(e, env, fuel)?;
-                if *v >= env.len() {
-                    env.resize(*v + 1, Val::empty(0));
-                }
-                env[*v] = val;
-            }
-            Prog::Seq(ps) => {
-                for q in ps {
-                    self.exec(q, env, fuel)?;
-                }
-            }
-            Prog::WhileEmpty(v, body) => {
-                let done = self.seminaive
-                    && crate::seminaive::try_loop(
-                        self,
-                        crate::seminaive::LoopKind::Empty,
-                        *v,
-                        body,
-                        env,
-                        fuel,
-                        &mut crate::seminaive::NoHooks,
-                    ).is_done();
-                if !done {
-                    while env.get(*v).is_none_or(Val::is_empty) {
-                        fuel.tick()?;
-                        self.exec(body, env, fuel)?;
-                    }
-                }
-            }
-            Prog::WhileSingleton(v, body) => {
-                let done = self.seminaive
-                    && crate::seminaive::try_loop(
-                        self,
-                        crate::seminaive::LoopKind::Singleton,
-                        *v,
-                        body,
-                        env,
-                        fuel,
-                        &mut crate::seminaive::NoHooks,
-                    ).is_done();
-                if !done {
-                    while env.get(*v).is_some_and(Val::is_singleton) {
-                        fuel.tick()?;
-                        self.exec(body, env, fuel)?;
-                    }
-                }
-            }
-            Prog::WhileFinite(_, _) => {
-                return Err(RunError::DialectViolation(
-                    "while |Y|<∞ is a QLf+ construct; QLhs values are always finite sets of representatives",
-                ))
-            }
-        }
-        Ok(())
+        let short = "swap on a tuple shorter than its rank";
+        self.canonical_map(x, x.rank, fuel, Tuple::swap_last_two, short)
     }
 }
 

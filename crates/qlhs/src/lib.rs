@@ -1,4 +1,4 @@
-//! # recdb-qlhs — the QL language family (§3.3, §4; [CH])
+//! # recdb-qlhs — the QL language family (§3.3, §4; \[CH\])
 //!
 //! Three dialects of Chandra–Harel's QL over one AST:
 //!
@@ -10,6 +10,11 @@
 //! * **QLf+** ([`FcfInterp`]) — the finite∕co-finite variant with
 //!   `while |Y|<∞` (§4, Prop 4.3).
 //!
+//! The three share one statement executor: each interpreter is a
+//! [`Backend`] (a value domain with eight term primitives), and
+//! [`backend::exec`] runs assignments, sequencing and `while` over any
+//! of them, with [`Hooks`] for budgets and counting.
+//!
 //! [`derived`] supplies the programmability toolkit the completeness
 //! proof leans on: rank-0 booleans, branching combinators, and a
 //! compiler from counter machines to QL programs ("this gives QL the
@@ -18,6 +23,8 @@
 #![warn(missing_docs)]
 
 pub mod ast;
+pub mod backend;
+pub mod budget;
 pub mod completeness;
 pub mod derived;
 pub mod dialect;
@@ -30,7 +37,9 @@ pub mod permute;
 pub mod seminaive;
 pub mod value;
 
-pub use ast::{NodePath, Prog, Term, VarId};
+pub use ast::{LoopKind, NodePath, Prog, Term, VarId};
+pub use backend::{eval_term, exec, run, Backend, Hooks, NoHooks};
+pub use budget::{Budget, ExecEnd, ExecResult, Meter};
 pub use completeness::{theorem_3_1_pipeline, DEncoding, IndexTuple};
 pub use derived::{
     compile_counter, false_term, if_empty, if_nonempty, numeral, rank_program, true_term,
@@ -47,4 +56,4 @@ pub use optimize::{
 pub use parser::{parse_program, parse_program_with_spans, ProgParseError, Span, SpanTable};
 pub use permute::Permutation;
 pub use seminaive::{classify_loop, IneligibleLoop, LoopPlan};
-pub use value::{RunError, Val};
+pub use value::{DeltaValue, RunError, Val};

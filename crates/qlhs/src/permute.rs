@@ -2,7 +2,7 @@
 //!
 //! A query `q` is **C-generic** when every permutation `π` of the
 //! domain that fixes the constants `C` pointwise commutes with it:
-//! `π(q(B)) = q(π(B))` ([CH] §2.5). Every QL construct except
+//! `π(q(B)) = q(π(B))` (\[CH\] §2.5). Every QL construct except
 //! [`Term::Const`](crate::Term::Const) is π-equivariant, so the
 //! genericity analysis in `recdb-analyze` reduces the question to
 //! "which constants can the output observe?" — and this module

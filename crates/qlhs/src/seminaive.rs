@@ -35,7 +35,8 @@
 //! to successful completion. On *any* obstruction — ineligible body,
 //! non-finite values, a rank mismatch, an evaluation error, fuel
 //! exhaustion, a divergent loop — it abandons its private state,
-//! restores the caller's fuel to its entry value and returns
+//! restores the caller's fuel and hooks to their entry values and
+//! returns
 //! [`LoopEnd::Fallback`] with the reason. The caller then runs the
 //! untouched from-scratch loop, which reproduces the exact
 //! from-scratch outcome (including which error is reported and how
@@ -45,19 +46,20 @@
 //! `SEMI-NAIVE-DIFF` conformance check drives both paths over random
 //! programs.
 //!
-//! # Budget hooks
+//! # Hooks
 //!
-//! The same engine runs under the plain interpreters and under the
-//! server's counted executor. A [`LoopHooks`] value sees every round
-//! head and the size of every statement's target, at the points where
-//! the from-scratch loop checks its budgets, so per-loop bounds,
-//! iteration caps, work meters and preemption behave identically on
-//! both paths; the interpreters pass [`NoHooks`]. A round uses no more
-//! fuel than the from-scratch iteration it replaces, so a loop that
-//! completes from scratch completes here too.
+//! The one statement executor ([`crate::backend::exec`]) offers every
+//! `while` to this engine with its own [`Hooks`] value, unchanged. The
+//! hooks see every round head and the size of every statement's
+//! target, at the points where the from-scratch loop reports them, so
+//! per-loop bounds, iteration caps, work meters and preemption behave
+//! identically on both paths. A round uses no more fuel than the
+//! from-scratch iteration it replaces, so a loop that completes from
+//! scratch completes here too.
 
-use crate::ast::{Prog, Term, VarId};
-use crate::value::RunError;
+use crate::ast::{LoopKind, NodePath, Prog, Term, VarId};
+use crate::backend::{eval_term, guard_holds, Backend, Hooks};
+use crate::value::DeltaValue;
 use recdb_core::{DeltaVar, Fuel, Tuple, TupleInterner};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -102,6 +104,8 @@ pub struct PlanStmt {
     /// `s` with the delta-source occurrence replaced by the scratch
     /// variable; evaluated by the backend against per-round deltas.
     rewritten: Term,
+    /// The assignment's tree path within the loop body.
+    pub path: NodePath,
 }
 
 /// A loop body compiled for semi-naive execution.
@@ -168,15 +172,27 @@ fn rewrite(
     }
 }
 
-/// Flattens `body` through `Seq` into assignments; `Err` on a nested
-/// loop.
-fn flatten<'p>(body: &'p Prog, out: &mut Vec<(VarId, &'p Term)>) -> Result<(), IneligibleLoop> {
+/// An assignment of a flattened loop body: target, term, tree path.
+type Flat<'p> = (VarId, &'p Term, NodePath);
+
+/// Flattens `body` through `Seq` into assignments with their paths;
+/// `Err` on a nested loop.
+fn flatten<'p>(
+    body: &'p Prog,
+    path: &mut NodePath,
+    out: &mut Vec<Flat<'p>>,
+) -> Result<(), IneligibleLoop> {
     match body {
         Prog::Assign(v, e) => {
-            out.push((*v, e));
+            out.push((*v, e, path.clone()));
             Ok(())
         }
-        Prog::Seq(ps) => ps.iter().try_for_each(|p| flatten(p, out)),
+        Prog::Seq(ps) => ps.iter().enumerate().try_for_each(|(i, p)| {
+            path.push(i as u32);
+            let r = flatten(p, path, out);
+            path.pop();
+            r
+        }),
         Prog::WhileEmpty(..) | Prog::WhileSingleton(..) | Prog::WhileFinite(..) => {
             Err(IneligibleLoop::NestedLoop)
         }
@@ -188,11 +204,11 @@ fn flatten<'p>(body: &'p Prog, out: &mut Vec<(VarId, &'p Term)>) -> Result<(), I
 /// three interpreters and by the `recdb-analyze` delta pass.
 pub fn classify_loop(body: &Prog) -> Result<LoopPlan, IneligibleLoop> {
     let mut assigns = Vec::new();
-    flatten(body, &mut assigns)?;
-    let writes: BTreeSet<VarId> = assigns.iter().map(|(w, _)| *w).collect();
+    flatten(body, &mut NodePath::new(), &mut assigns)?;
+    let writes: BTreeSet<VarId> = assigns.iter().map(|(w, ..)| *w).collect();
     let scratch = body.max_var().map_or(0, |m| m + 1);
     let mut stmts = Vec::new();
-    for (w, term) in assigns {
+    for (w, term, path) in assigns {
         // Recognize the derived union ¬(¬a ∩ ¬b) with a or b = Y_w.
         let Term::Not(inner) = term else {
             return Err(IneligibleLoop::NotInflationary);
@@ -215,6 +231,7 @@ pub fn classify_loop(body: &Prog) -> Result<LoopPlan, IneligibleLoop> {
             target: w,
             source,
             rewritten,
+            path,
         });
     }
     Ok(LoopPlan {
@@ -222,92 +239,6 @@ pub fn classify_loop(body: &Prog) -> Result<LoopPlan, IneligibleLoop> {
         scratch,
         writes,
     })
-}
-
-/// The value operations the delta engine needs from a backend's value
-/// type. `Val` (Fin/Hs) is always finite; `FcfVal` exposes its
-/// indicator.
-pub trait DeltaValue: Clone {
-    /// The value's rank.
-    fn rank(&self) -> usize;
-    /// Tuple count of the finite part (the guard cardinality for
-    /// finite values).
-    fn count(&self) -> usize;
-    /// Is the relation finite (the `|Y| < ∞` guard)?
-    fn is_finite(&self) -> bool;
-    /// The tuples, if the relation is finite.
-    fn finite_tuples(&self) -> Option<&BTreeSet<Tuple>>;
-    /// Builds a finite value.
-    fn from_tuples(rank: usize, tuples: BTreeSet<Tuple>) -> Self;
-    /// The default for unbound variables: the empty rank-0 relation.
-    fn empty0() -> Self;
-}
-
-impl DeltaValue for crate::value::Val {
-    fn rank(&self) -> usize {
-        self.rank
-    }
-    fn count(&self) -> usize {
-        self.tuples.len()
-    }
-    fn is_finite(&self) -> bool {
-        true
-    }
-    fn finite_tuples(&self) -> Option<&BTreeSet<Tuple>> {
-        Some(&self.tuples)
-    }
-    fn from_tuples(rank: usize, tuples: BTreeSet<Tuple>) -> Self {
-        crate::value::Val { rank, tuples }
-    }
-    fn empty0() -> Self {
-        crate::value::Val::empty(0)
-    }
-}
-
-impl DeltaValue for crate::fcf_interp::FcfVal {
-    fn rank(&self) -> usize {
-        self.rank
-    }
-    fn count(&self) -> usize {
-        self.tuples.len()
-    }
-    fn is_finite(&self) -> bool {
-        self.finite
-    }
-    fn finite_tuples(&self) -> Option<&BTreeSet<Tuple>> {
-        self.finite.then_some(&self.tuples)
-    }
-    fn from_tuples(rank: usize, tuples: BTreeSet<Tuple>) -> Self {
-        crate::fcf_interp::FcfVal {
-            rank,
-            finite: true,
-            tuples,
-        }
-    }
-    fn empty0() -> Self {
-        crate::fcf_interp::FcfVal::empty(0)
-    }
-}
-
-/// A term evaluator the delta engine can drive — implemented by the
-/// three interpreters, so every `↑`/`↓`/`~`/canonicalization step runs
-/// through the backend's own (already tested) semantics.
-pub trait DeltaBackend {
-    /// The backend's value type.
-    type V: DeltaValue;
-    /// Evaluates a term in an environment.
-    fn eval(&mut self, t: &Term, env: &[Self::V], fuel: &mut Fuel) -> Result<Self::V, RunError>;
-}
-
-/// Which `while` guard the loop uses.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum LoopKind {
-    /// `while |Y| = 0`.
-    Empty,
-    /// `while |Y| = 1`.
-    Singleton,
-    /// `while |Y| < ∞`.
-    Finite,
 }
 
 /// Why [`try_loop`] handed a loop back to the from-scratch path. Each
@@ -346,35 +277,6 @@ impl Fallback {
     }
 }
 
-/// The budget checks a scheduling executor threads through the delta
-/// engine. Both calls happen exactly where the from-scratch loop makes
-/// them, so a stop fires at the same round and statement on either
-/// path.
-pub trait LoopHooks {
-    /// Why the caller stopped the loop.
-    type Stop;
-    /// A round head: the guard holds and the round's fuel tick comes
-    /// next.
-    fn round(&mut self) -> Result<(), Self::Stop>;
-    /// A body statement finished; `size` is its target's tuple count,
-    /// i.e. the size of the value the from-scratch assignment builds.
-    /// Called for skipped statements too.
-    fn work(&mut self, size: u64) -> Result<(), Self::Stop>;
-}
-
-/// Hooks that never stop the loop: the plain interpreters' `exec`.
-pub struct NoHooks;
-
-impl LoopHooks for NoHooks {
-    type Stop = std::convert::Infallible;
-    fn round(&mut self) -> Result<(), Self::Stop> {
-        Ok(())
-    }
-    fn work(&mut self, _: u64) -> Result<(), Self::Stop> {
-        Ok(())
-    }
-}
-
 /// How [`try_loop`] ended.
 #[derive(Debug, PartialEq, Eq)]
 pub enum LoopEnd<S> {
@@ -388,47 +290,39 @@ pub enum LoopEnd<S> {
     Fallback(Fallback),
 }
 
-impl<S> LoopEnd<S> {
-    /// Did the loop complete?
-    pub fn is_done(&self) -> bool {
-        matches!(self, LoopEnd::Done)
-    }
-}
-
-/// Attempts to run `while <kind>(Y_guard) do body` semi-naively.
+/// Attempts to run `while <kind>(Y_guard) do body` — the loop at
+/// `path`, as [`Prog::as_loop`] splits it — semi-naively.
 ///
 /// On [`LoopEnd::Done`] the environment holds the exact from-scratch
-/// result. On [`LoopEnd::Fallback`] the environment is untouched and
-/// `fuel` is restored to its entry value, so the caller's from-scratch
-/// loop reproduces the from-scratch outcome exactly; the caller resets
-/// whatever its hooks counted. [`LoopEnd::Stopped`] passes a hook's
-/// stop through.
-pub fn try_loop<B: DeltaBackend, H: LoopHooks>(
-    backend: &mut B,
-    kind: LoopKind,
-    guard: VarId,
-    body: &Prog,
+/// result. On [`LoopEnd::Fallback`] the environment is untouched, and
+/// `fuel` and `hooks` are restored to their entry values, so the
+/// caller's from-scratch loop reproduces the from-scratch outcome
+/// exactly. [`LoopEnd::Stopped`] passes a hook's stop through.
+pub fn try_loop<B: Backend, H: Hooks>(
+    b: &mut B,
+    lp: (LoopKind, VarId, &Prog),
+    path: &[u32],
     env: &mut Vec<B::V>,
     fuel: &mut Fuel,
     hooks: &mut H,
 ) -> LoopEnd<H::Stop> {
-    let entry = *fuel;
-    let end = match classify_loop(body) {
-        Ok(plan) => run_plan(backend, &plan, kind, guard, env, fuel, hooks),
+    let entry = (*fuel, hooks.clone());
+    let end = match classify_loop(lp.2) {
+        Ok(plan) => run_plan(b, &plan, lp, path, env, fuel, hooks),
         Err(why) => LoopEnd::Fallback(Fallback::Ineligible(why)),
     };
     if let LoopEnd::Fallback(reason) = end {
         reason.record();
-        *fuel = entry;
+        (*fuel, *hooks) = entry;
     }
     end
 }
 
-fn run_plan<B: DeltaBackend, H: LoopHooks>(
-    backend: &mut B,
+fn run_plan<B: Backend, H: Hooks>(
+    b: &mut B,
     plan: &LoopPlan,
-    kind: LoopKind,
-    guard: VarId,
+    (kind, guard, _): (LoopKind, VarId, &Prog),
+    path: &[u32],
     env: &mut Vec<B::V>,
     fuel: &mut Fuel,
     hooks: &mut H,
@@ -453,19 +347,15 @@ fn run_plan<B: DeltaBackend, H: LoopHooks>(
     }
     // Loop variables stay finite by construction; the guard reads the
     // entry value when the body does not write it.
-    let continues = |dvs: &BTreeMap<VarId, DeltaVar>, env: &[B::V]| -> bool {
-        let (size, finite) = match dvs.get(&guard) {
-            Some(dv) => (dv.len(), true),
-            None => env
-                .get(guard)
-                .map_or((0, true), |v| (v.count(), v.is_finite())),
-        };
-        match kind {
-            LoopKind::Empty => finite && size == 0,
-            LoopKind::Singleton => finite && size == 1,
-            LoopKind::Finite => finite,
-        }
+    let continues = |dvs: &BTreeMap<VarId, DeltaVar>, env: &[B::V]| match dvs.get(&guard) {
+        Some(dv) => kind.holds(dv.len(), true),
+        None => guard_holds(env, guard, kind),
     };
+    let stmt_paths: Vec<NodePath> = plan
+        .stmts
+        .iter()
+        .map(|s| [path, &[0], &s.path].concat())
+        .collect();
     // Scratch environment: entry values (K-subterms are W-free, so
     // these never go stale) plus the delta staging slot.
     let mut scratch_env: Vec<B::V> = (0..=plan.scratch)
@@ -474,13 +364,13 @@ fn run_plan<B: DeltaBackend, H: LoopHooks>(
     let mut cursors = vec![0usize; plan.stmts.len()];
     let mut rounds: u64 = 0;
     while continues(&dvs, env) {
-        if let Err(stop) = hooks.round() {
+        rounds += 1;
+        if let Err(stop) = hooks.round(path, rounds) {
             return LoopEnd::Stopped(stop);
         }
         if fuel.tick().is_err() {
             return LoopEnd::Fallback(Fallback::OutOfFuel);
         }
-        rounds += 1;
         let mut progress = false;
         for (i, stmt) in plan.stmts.iter().enumerate() {
             if fuel.tick().is_err() {
@@ -506,7 +396,7 @@ fn run_plan<B: DeltaBackend, H: LoopHooks>(
             };
             if let Some(delta) = delta {
                 scratch_env[plan.scratch] = delta;
-                let Ok(contribution) = backend.eval(&stmt.rewritten, &scratch_env, fuel) else {
+                let Ok(contribution) = eval_term(b, &stmt.rewritten, &scratch_env, fuel) else {
                     return LoopEnd::Fallback(Fallback::EvalError);
                 };
                 let Some(tuples) = contribution.finite_tuples() else {
@@ -524,7 +414,7 @@ fn run_plan<B: DeltaBackend, H: LoopHooks>(
             // Inserts are visible at once, so this is the size of the
             // value the from-scratch assignment would store.
             let size = dvs.get(&stmt.target).map_or(0, DeltaVar::len);
-            if let Err(stop) = hooks.work(size as u64) {
+            if let Err(stop) = hooks.work(&stmt_paths[i], size as u64) {
                 return LoopEnd::Stopped(stop);
             }
         }
@@ -555,7 +445,7 @@ mod tests {
     use super::*;
     use crate::ast::{Prog, Term};
     use crate::fin_interp::FinInterp;
-    use crate::value::Val;
+    use crate::value::{RunError, Val};
     use recdb_core::FiniteStructure;
 
     fn union_assign(v: VarId, s: Term) -> Prog {
@@ -637,7 +527,7 @@ mod tests {
     fn seminaive_matches_from_scratch_on_reachability() {
         let st = path(8);
         let p = reach_prog(7);
-        let on = FinInterp::new(&st);
+        let mut on = FinInterp::new(&st);
         let mut off = FinInterp::new(&st);
         off.set_seminaive(false);
         let a = on.run(&p, &mut Fuel::new(1_000_000));
@@ -652,7 +542,7 @@ mod tests {
         let st = path(6);
         // Surface Y2 (the frontier) as the program result.
         let p = Prog::seq([reach_prog(5), Prog::assign(0, Term::Var(1))]);
-        let interp = FinInterp::new(&st);
+        let mut interp = FinInterp::new(&st);
         let v = interp.run(&p, &mut Fuel::new(1_000_000)).expect("runs");
         assert_eq!(v.rank, 1);
         assert_eq!(v.len(), 6, "every path node reached");
@@ -667,10 +557,10 @@ mod tests {
             Prog::assign(1, Term::Const(0)),
             Prog::WhileEmpty(2, Box::new(body)),
         ]);
-        let interp = FinInterp::new(&st);
+        let mut interp = FinInterp::new(&st);
         let mut env = vec![Val::empty(0); 3];
         let mut fuel = Fuel::new(50_000);
-        let r = interp.exec(&p, &mut env, &mut fuel);
+        let r = crate::exec(&mut interp, &p, &mut env, &mut fuel);
         assert!(matches!(r, Err(RunError::Fuel(_))));
         assert_eq!(fuel.remaining(), 0);
     }
@@ -681,9 +571,9 @@ mod tests {
         // Y2 entry rank 0 (uninitialized), source rank 1: the union's
         // ∩ mismatches on iteration 1 in both engines.
         let p = Prog::WhileEmpty(1, Box::new(union_assign(1, Term::Const(0))));
-        let interp = FinInterp::new(&st);
+        let mut interp = FinInterp::new(&st);
         let mut env = vec![Val::empty(0); 2];
-        let r = interp.exec(&p, &mut env, &mut Fuel::new(10_000));
+        let r = crate::exec(&mut interp, &p, &mut env, &mut Fuel::new(10_000));
         assert!(matches!(r, Err(RunError::RankMismatch { .. })), "{r:?}");
     }
 }

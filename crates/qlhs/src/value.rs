@@ -1,5 +1,6 @@
 //! Runtime values and errors for the QL interpreters.
 
+use crate::ast::LoopKind;
 use recdb_core::{FuelError, Tuple};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -50,6 +51,91 @@ impl Val {
     pub fn is_singleton(&self) -> bool {
         self.tuples.len() == 1
     }
+
+    /// Intersection `self ∩ y`; ranks must agree (Fin and Hs share it).
+    pub(crate) fn and(&self, y: &Val) -> Result<Val, RunError> {
+        same_rank(self.rank, y.rank)?;
+        Ok(Val {
+            rank: self.rank,
+            tuples: self.tuples.intersection(&y.tuples).cloned().collect(),
+        })
+    }
+}
+
+/// What the statement executor and the delta engine need from a
+/// backend's value type. `Val` (Fin/Hs) is always finite; `FcfVal`
+/// exposes its indicator.
+pub trait DeltaValue: Clone {
+    /// The value's rank.
+    fn rank(&self) -> usize;
+    /// Stored size: the tuples the backend materializes for the value
+    /// (the finite part, or the stored complement of a co-finite
+    /// value). This is the unit the cost pass bounds and the work
+    /// meter counts.
+    fn size(&self) -> usize;
+    /// Is the relation finite?
+    fn is_finite(&self) -> bool;
+    /// The tuples, if the relation is finite.
+    fn finite_tuples(&self) -> Option<&BTreeSet<Tuple>>;
+    /// Builds a finite value.
+    fn from_tuples(rank: usize, tuples: BTreeSet<Tuple>) -> Self;
+    /// The default for unbound variables: the empty rank-0 relation.
+    fn empty0() -> Self;
+    /// Does the `while` test `kind` hold for this value?
+    fn holds(&self, kind: LoopKind) -> bool {
+        kind.holds(self.size(), self.is_finite())
+    }
+}
+
+impl DeltaValue for Val {
+    fn rank(&self) -> usize {
+        self.rank
+    }
+    fn size(&self) -> usize {
+        self.tuples.len()
+    }
+    fn is_finite(&self) -> bool {
+        true
+    }
+    fn finite_tuples(&self) -> Option<&BTreeSet<Tuple>> {
+        Some(&self.tuples)
+    }
+    fn from_tuples(rank: usize, tuples: BTreeSet<Tuple>) -> Self {
+        Val { rank, tuples }
+    }
+    fn empty0() -> Self {
+        Val::empty(0)
+    }
+}
+
+/// `Err(RankMismatch)` unless the two operands of `∩` agree in rank.
+pub(crate) fn same_rank(left: usize, right: usize) -> Result<(), RunError> {
+    if left == right {
+        Ok(())
+    } else {
+        Err(RunError::RankMismatch { left, right })
+    }
+}
+
+/// Every tuple without its first coordinate (the plain `↓`).
+pub(crate) fn drop_first(ts: &BTreeSet<Tuple>) -> Result<BTreeSet<Tuple>, RunError> {
+    ts.iter()
+        .map(|u| {
+            u.drop_first()
+                .ok_or(RunError::Internal("↓ on a tuple shorter than its rank"))
+        })
+        .collect()
+}
+
+/// Every tuple with its two rightmost coordinates exchanged (the plain
+/// `~`).
+pub(crate) fn swap_last_two(ts: &BTreeSet<Tuple>) -> Result<BTreeSet<Tuple>, RunError> {
+    ts.iter()
+        .map(|u| {
+            u.swap_last_two()
+                .ok_or(RunError::Internal("swap on a tuple shorter than its rank"))
+        })
+        .collect()
 }
 
 /// An interpretation error.

@@ -4,7 +4,7 @@
 //! projection, rename, natural join, union, difference, complement —
 //! plus references to *named views*; an [`RaProgram`] is a list of
 //! view definitions followed by a query expression. Attributes are
-//! names, not positions: the typechecker ([`crate::typeck`]) assigns
+//! names, not positions: the typechecker ([`crate::schema::typecheck`]) assigns
 //! every subexpression its attribute set, and the compiler
 //! ([`crate::compile`]) maps attributes to tuple coordinates via the
 //! canonical sorted order (DESIGN.md §10).

@@ -18,7 +18,7 @@
 //! * parentheses, and `//` comments to end of line.
 //!
 //! Every expression node gets a [`Span`] keyed by its
-//! [`NodePath`](recdb_qlhs::ast::NodePath) — view `i` under prefix
+//! [`NodePath`] — view `i` under prefix
 //! `[i]` (where the root entry covers the whole `Name := expr;`
 //! statement), the query under `[views.len()]`, child edges as in
 //! [`RaExpr::children`] — in the same [`SpanTable`] type the QL

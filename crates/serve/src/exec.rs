@@ -1,10 +1,10 @@
-//! The counted executor: the statement layer the server actually runs
-//! admitted programs under.
+//! The scheduled executor: how the server runs admitted programs.
 //!
-//! Term semantics are delegated to the real interpreters' `eval_term`
-//! (`FinInterp`/`HsInterp`/`FcfInterp`) — the server never re-implements
-//! value semantics. What the statement layer adds over the plain `run`
-//! entry points is *scheduling*:
+//! Statement semantics live in one place, `recdb-qlhs`'s statement
+//! executor ([`recdb_qlhs::backend`]), over the interpreters' own
+//! [`Backend`] primitives — the server never re-implements them. What
+//! a scheduled run adds over the plain `run` entry points is the
+//! [`Budget`] meter ([`recdb_qlhs::Meter`]):
 //!
 //! * **budget enforcement** — a proved-`Terminates` admission carries
 //!   per-loop bounds and a whole-program iteration budget; exceeding
@@ -17,426 +17,47 @@
 //!
 //! Every `while` first goes to the semi-naive engine
 //! ([`recdb_qlhs::seminaive::try_loop`]) when the interpreter's
-//! `set_seminaive` flag is on, with the budget checks passed in as
-//! [`LoopHooks`]: the same round heads, the same per-loop bounds, the
-//! same work meter. A loop the engine hands back runs from scratch
-//! with the iteration and work counters reset to their loop-entry
-//! values, so only a completed semi-naive loop differs from the
-//! from-scratch path, and then only in the fuel it used.
-//!
-//! This mirrors the conformance crate's counting executor (the
-//! `TERMINATE-BOUND` differential) — same guard predicates, same fuel
-//! ticks — but lives here because the dependency points the other way:
-//! the conformance ledger drives *this* server.
+//! `set_seminaive` flag is on, under the same meter: the same round
+//! heads, the same per-loop bounds, the same work meter. A loop the
+//! engine hands back runs from scratch with the meter restored to its
+//! loop-entry state, so only a completed semi-naive loop differs from
+//! the from-scratch path, and then only in the fuel it used. The VM's
+//! `exec_scheduled` runs under the same meter, and the conformance
+//! ledger's counted runs (`TERMINATE-BOUND`) wrap it.
+
+/// The statement executor's backend trait under its former name here;
+/// the benchmark harness in `perfbench/` still uses it.
+pub use recdb_qlhs::Backend as GuardEval;
+pub use recdb_qlhs::{Budget, ExecEnd, ExecResult};
 
 use recdb_core::Fuel;
-use recdb_qlhs::seminaive::{try_loop, DeltaBackend, DeltaValue, LoopEnd, LoopHooks, LoopKind};
-use recdb_qlhs::{Dialect, FcfInterp, FcfVal, FinInterp, HsInterp, Prog, RunError, Term, Val};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// One backend's value operations, as the statement layer needs them.
-/// Implemented by all three interpreters; term evaluation is theirs.
-pub trait GuardEval {
-    /// The value type the backend computes with.
-    type V: DeltaValue;
-    /// Term evaluation — the real interpreter's `eval_term`.
-    fn eval(&mut self, t: &Term, env: &[Self::V], fuel: &mut Fuel) -> Result<Self::V, RunError>;
-    /// The value an unassigned variable holds.
-    fn unset() -> Self::V;
-    /// The `while empty(Y)` guard.
-    fn empty_guard(v: Option<&Self::V>) -> bool;
-    /// The `while single(Y)` guard (dialect violation where not admitted).
-    fn single_guard(v: Option<&Self::V>) -> Result<bool, RunError>;
-    /// The `while finite(Y)` guard (dialect violation where not admitted).
-    fn finite_guard(v: Option<&Self::V>) -> Result<bool, RunError>;
-    /// Stored size of a value — the tuples the backend materializes
-    /// for it (finite part *or* stored complement for QLf⁺). This is
-    /// the unit the cost pass bounds.
-    fn size(v: &Self::V) -> u64;
-    /// Do `while` loops try the semi-naive engine first? The
-    /// interpreter's own `set_seminaive` flag.
-    fn seminaive(&self) -> bool;
-    /// Sets that flag.
-    fn set_seminaive(&mut self, on: bool);
-}
-
-impl GuardEval for FinInterp<'_> {
-    type V = Val;
-    fn eval(&mut self, t: &Term, env: &[Val], fuel: &mut Fuel) -> Result<Val, RunError> {
-        FinInterp::eval_term(self, t, env, fuel)
-    }
-    fn unset() -> Val {
-        Val::empty(0)
-    }
-    fn empty_guard(v: Option<&Val>) -> bool {
-        v.is_none_or(Val::is_empty)
-    }
-    fn single_guard(_: Option<&Val>) -> Result<bool, RunError> {
-        Err(RunError::DialectViolation(
-            "while |Y|=1 is a QLhs primitive; in finitary QL it is only definable",
-        ))
-    }
-    fn finite_guard(_: Option<&Val>) -> Result<bool, RunError> {
-        Err(RunError::DialectViolation(
-            "while |Y|<∞ is a QLf+ construct",
-        ))
-    }
-    fn size(v: &Val) -> u64 {
-        v.len() as u64
-    }
-    fn seminaive(&self) -> bool {
-        FinInterp::seminaive(self)
-    }
-    fn set_seminaive(&mut self, on: bool) {
-        FinInterp::set_seminaive(self, on);
-    }
-}
-
-impl GuardEval for HsInterp<'_> {
-    type V = Val;
-    fn eval(&mut self, t: &Term, env: &[Val], fuel: &mut Fuel) -> Result<Val, RunError> {
-        HsInterp::eval_term(self, t, env, fuel)
-    }
-    fn unset() -> Val {
-        Val::empty(0)
-    }
-    fn empty_guard(v: Option<&Val>) -> bool {
-        v.is_none_or(Val::is_empty)
-    }
-    fn single_guard(v: Option<&Val>) -> Result<bool, RunError> {
-        Ok(v.is_some_and(Val::is_singleton))
-    }
-    fn finite_guard(_: Option<&Val>) -> Result<bool, RunError> {
-        Err(RunError::DialectViolation(
-            "while |Y|<∞ is a QLf+ construct, not part of QLhs",
-        ))
-    }
-    fn size(v: &Val) -> u64 {
-        v.len() as u64
-    }
-    fn seminaive(&self) -> bool {
-        HsInterp::seminaive(self)
-    }
-    fn set_seminaive(&mut self, on: bool) {
-        HsInterp::set_seminaive(self, on);
-    }
-}
-
-impl GuardEval for FcfInterp<'_> {
-    type V = FcfVal;
-    fn eval(&mut self, t: &Term, env: &[FcfVal], fuel: &mut Fuel) -> Result<FcfVal, RunError> {
-        FcfInterp::eval_term(self, t, env, fuel)
-    }
-    fn unset() -> FcfVal {
-        FcfVal::empty(0)
-    }
-    fn empty_guard(v: Option<&FcfVal>) -> bool {
-        v.is_none_or(FcfVal::is_empty_relation)
-    }
-    fn single_guard(_: Option<&FcfVal>) -> Result<bool, RunError> {
-        Err(RunError::DialectViolation(
-            "while |Y|=1 is a QLhs primitive, not part of QLf+",
-        ))
-    }
-    fn finite_guard(v: Option<&FcfVal>) -> Result<bool, RunError> {
-        Ok(v.is_none_or(|x| x.finite))
-    }
-    fn size(v: &FcfVal) -> u64 {
-        v.tuples.len() as u64
-    }
-    fn seminaive(&self) -> bool {
-        FcfInterp::seminaive(self)
-    }
-    fn set_seminaive(&mut self, on: bool) {
-        FcfInterp::set_seminaive(self, on);
-    }
-}
-
-/// The scheduling envelope an admitted program runs under.
-#[derive(Clone, Debug)]
-pub struct Budget<'a> {
-    /// Proved per-entry bounds by loop path (empty in fuel mode).
-    pub bounds: &'a BTreeMap<Vec<u32>, u64>,
-    /// Whole-program iteration cap. In exact mode this is the proved
-    /// `Terminates {iterations}` figure; in fuel mode `u64::MAX` (fuel
-    /// is the limiter).
-    pub total_cap: u64,
-    /// The fuel budget for term evaluation and statement ticks.
-    pub fuel: u64,
-    /// Statically predicted total work (materialized tuples across
-    /// all assignments), when the cost pass derived one at this
-    /// database's instantiation. Exceeding it is a cost-soundness
-    /// violation.
-    pub work_cap: Option<u64>,
-}
-
-/// How an execution ended.
-#[derive(Debug)]
-pub enum ExecEnd<V> {
-    /// Completed; the payload is `Y1`.
-    Done(V),
-    /// The interpreter returned a runtime error (fuel exhaustion is
-    /// reported separately).
-    Errored(RunError),
-    /// Fuel ran out — the fuel-mode analogue of preemption.
-    OutOfFuel,
-    /// The cooperative-preemption flag was raised at a loop head.
-    Preempted,
-    /// A proved per-loop bound was exceeded — admission soundness
-    /// violation.
-    BoundExceeded {
-        /// The loop's tree path.
-        path: Vec<u32>,
-        /// The bound it was proved to respect.
-        bound: u64,
-    },
-    /// The proved whole-program budget was exceeded — admission
-    /// soundness violation.
-    TotalExceeded {
-        /// The proved whole-program budget.
-        cap: u64,
-    },
-    /// The statically predicted work bound was exceeded — a
-    /// cost-soundness violation (counted as `serve.cost.overrun`).
-    WorkExceeded {
-        /// The predicted work bound.
-        cap: u64,
-    },
-}
-
-impl<V> ExecEnd<V> {
-    /// Is this end an admission-soundness violation (a static proof
-    /// contradicted at runtime)?
-    pub fn is_soundness_violation(&self) -> bool {
-        matches!(
-            self,
-            ExecEnd::BoundExceeded { .. }
-                | ExecEnd::TotalExceeded { .. }
-                | ExecEnd::WorkExceeded { .. }
-        )
-    }
-}
-
-/// An execution outcome plus its iteration accounting.
-#[derive(Debug)]
-pub struct ExecResult<V> {
-    /// How the run ended.
-    pub end: ExecEnd<V>,
-    /// Total loop iterations executed.
-    pub iterations: u64,
-    /// Total tuples materialized by assignments (the observed work).
-    pub work: u64,
-}
-
-enum Stop {
-    Run(RunError),
-    Fuel,
-    Preempt,
-    Bound { path: Vec<u32>, bound: u64 },
-    Total,
-    Work,
-}
-
-struct Counter<'b> {
-    bounds: &'b BTreeMap<Vec<u32>, u64>,
-    total: u64,
-    cap: u64,
-    work: u64,
-    work_cap: Option<u64>,
-    preempt: &'b AtomicBool,
-}
-
-impl Counter<'_> {
-    /// A round head of the loop at `path`, its `here`-th entry so far:
-    /// preemption, then the loop's proved bound, then the whole-program
-    /// cap.
-    fn round(&mut self, path: &[u32], here: &mut u64) -> Result<(), Stop> {
-        if self.preempt.load(Ordering::Relaxed) {
-            return Err(Stop::Preempt);
-        }
-        *here += 1;
-        self.total += 1;
-        if let Some(&bound) = self.bounds.get(path) {
-            if *here > bound {
-                return Err(Stop::Bound {
-                    path: path.to_vec(),
-                    bound,
-                });
-            }
-        }
-        if self.total > self.cap {
-            return Err(Stop::Total);
-        }
-        Ok(())
-    }
-
-    /// Charges one assignment's stored size to the work meter.
-    fn charge(&mut self, size: u64) -> Result<(), Stop> {
-        self.work = self.work.saturating_add(size);
-        if self.work_cap.is_some_and(|cap| self.work > cap) {
-            return Err(Stop::Work);
-        }
-        Ok(())
-    }
-}
-
-/// The budget checks of one loop, as the semi-naive engine's hooks.
-struct LoopBudget<'c, 'b> {
-    c: &'c mut Counter<'b>,
-    path: &'c [u32],
-    here: u64,
-}
-
-impl LoopHooks for LoopBudget<'_, '_> {
-    type Stop = Stop;
-    fn round(&mut self) -> Result<(), Stop> {
-        self.c.round(self.path, &mut self.here)
-    }
-    fn work(&mut self, size: u64) -> Result<(), Stop> {
-        self.c.charge(size)
-    }
-}
-
-/// A [`GuardEval`] backend as the semi-naive engine's term evaluator.
-struct Terms<'b, B>(&'b mut B);
-
-impl<B: GuardEval> DeltaBackend for Terms<'_, B> {
-    type V = B::V;
-    fn eval(&mut self, t: &Term, env: &[B::V], fuel: &mut Fuel) -> Result<B::V, RunError> {
-        self.0.eval(t, env, fuel)
-    }
-}
-
-fn tick(fuel: &mut Fuel) -> Result<(), Stop> {
-    fuel.tick().map_err(|_| Stop::Fuel)
-}
-
-fn guard<B: GuardEval>(kind: LoopKind, v: Option<&B::V>) -> Result<bool, Stop> {
-    match kind {
-        LoopKind::Empty => Ok(B::empty_guard(v)),
-        LoopKind::Singleton => B::single_guard(v).map_err(Stop::Run),
-        LoopKind::Finite => B::finite_guard(v).map_err(Stop::Run),
-    }
-}
-
-fn cexec<B: GuardEval>(
-    b: &mut B,
-    p: &Prog,
-    env: &mut Vec<B::V>,
-    fuel: &mut Fuel,
-    path: &mut Vec<u32>,
-    c: &mut Counter<'_>,
-) -> Result<(), Stop> {
-    tick(fuel)?;
-    match p {
-        Prog::Assign(v, t) => {
-            let val = b.eval(t, env, fuel).map_err(|e| match e {
-                RunError::Fuel(_) => Stop::Fuel,
-                other => Stop::Run(other),
-            })?;
-            c.charge(B::size(&val))?;
-            if *v >= env.len() {
-                env.resize(*v + 1, B::unset());
-            }
-            env[*v] = val;
-        }
-        Prog::Seq(ps) => {
-            for (i, q) in ps.iter().enumerate() {
-                path.push(i as u32);
-                let r = cexec(b, q, env, fuel, path, c);
-                path.pop();
-                r?;
-            }
-        }
-        Prog::WhileEmpty(v, body) | Prog::WhileSingleton(v, body) | Prog::WhileFinite(v, body) => {
-            let kind = match p {
-                Prog::WhileEmpty(..) => LoopKind::Empty,
-                Prog::WhileSingleton(..) => LoopKind::Singleton,
-                _ => LoopKind::Finite,
-            };
-            // A guard the dialect does not admit fails here, before
-            // either engine runs, exactly as the from-scratch loop's
-            // first test would.
-            guard::<B>(kind, env.get(*v))?;
-            if b.seminaive() {
-                let entry = (c.total, c.work);
-                let mut hooks = LoopBudget {
-                    c: &mut *c,
-                    path,
-                    here: 0,
-                };
-                match try_loop(&mut Terms(&mut *b), kind, *v, body, env, fuel, &mut hooks) {
-                    LoopEnd::Done => return Ok(()),
-                    LoopEnd::Stopped(stop) => return Err(stop),
-                    LoopEnd::Fallback(_) => (c.total, c.work) = entry,
-                }
-            }
-            let mut here = 0u64;
-            while guard::<B>(kind, env.get(*v))? {
-                c.round(path, &mut here)?;
-                tick(fuel)?;
-                path.push(0);
-                let r = cexec(b, body, env, fuel, path, c);
-                path.pop();
-                r?;
-            }
-        }
-    }
-    Ok(())
-}
+use recdb_qlhs::{run, Backend, Dialect, Prog, RunError};
+use std::sync::atomic::AtomicBool;
 
 /// Runs `p` under `budget`, with term semantics from `b`. The dialect
 /// check runs first, exactly as the interpreters' own `run` methods do.
-pub fn run_scheduled<B: GuardEval>(
+pub fn run_scheduled<B: Backend>(
     b: &mut B,
     dialect: Dialect,
     p: &Prog,
     budget: &Budget<'_>,
     preempt: &AtomicBool,
 ) -> ExecResult<B::V> {
-    let mut c = Counter {
-        bounds: budget.bounds,
-        total: 0,
-        cap: budget.total_cap,
-        work: 0,
-        work_cap: budget.work_cap,
-        preempt,
+    let mut meter = budget.meter(preempt);
+    let r = match dialect.check(p) {
+        Err(v) => Err(RunError::from(v).into()),
+        Ok(()) => run(b, p, &mut Fuel::new(budget.fuel), &mut meter),
     };
-    let mut fuel = Fuel::new(budget.fuel);
-    let end = if let Err(v) = dialect.check(p) {
-        ExecEnd::Errored(RunError::DialectViolation(v.message()))
-    } else {
-        let nvars = p.max_var().map_or(1, |m| m + 1);
-        let mut env = vec![B::unset(); nvars.max(1)];
-        let mut path = Vec::new();
-        match cexec(b, p, &mut env, &mut fuel, &mut path, &mut c) {
-            Ok(()) => match env.into_iter().next() {
-                Some(y1) => ExecEnd::Done(y1),
-                None => ExecEnd::Done(B::unset()),
-            },
-            Err(Stop::Run(e)) => ExecEnd::Errored(e),
-            Err(Stop::Fuel) => ExecEnd::OutOfFuel,
-            Err(Stop::Preempt) => ExecEnd::Preempted,
-            Err(Stop::Bound { path, bound }) => ExecEnd::BoundExceeded { path, bound },
-            Err(Stop::Total) => ExecEnd::TotalExceeded { cap: c.cap },
-            Err(Stop::Work) => ExecEnd::WorkExceeded {
-                cap: c.work_cap.unwrap_or(0),
-            },
-        }
-    };
-    ExecResult {
-        end,
-        iterations: c.total,
-        work: c.work,
-    }
+    meter.finish(r)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use recdb_core::FiniteStructure;
-    use recdb_qlhs::parse_program;
+    use recdb_qlhs::{parse_program, FinInterp, Hooks, Meter, Term, Val};
+    use std::collections::BTreeMap;
+    use std::sync::atomic::Ordering;
 
     fn graph() -> FiniteStructure {
         FiniteStructure::graph(0..3, [(0, 1), (1, 2)])
@@ -694,44 +315,27 @@ mod tests {
         }
     }
 
-    /// A backend that raises the preemption flag at its `n`-th term
-    /// evaluation.
+    /// Budget hooks that raise the preemption flag at the `n`-th
+    /// assignment.
+    #[derive(Clone)]
     struct Raiser<'a> {
-        inner: FinInterp<'a>,
+        meter: Meter<'a, Val>,
         flag: &'a AtomicBool,
-        evals: u64,
+        works: u64,
         n: u64,
     }
 
-    impl GuardEval for Raiser<'_> {
-        type V = Val;
-        fn eval(&mut self, t: &Term, env: &[Val], fuel: &mut Fuel) -> Result<Val, RunError> {
-            self.evals += 1;
-            if self.evals == self.n {
+    impl Hooks for Raiser<'_> {
+        type Stop = ExecEnd<Val>;
+        fn round(&mut self, path: &[u32], here: u64) -> Result<(), ExecEnd<Val>> {
+            self.meter.round(path, here)
+        }
+        fn work(&mut self, path: &[u32], size: u64) -> Result<(), ExecEnd<Val>> {
+            self.works += 1;
+            if self.works == self.n {
                 self.flag.store(true, Ordering::Relaxed);
             }
-            self.inner.eval(t, env, fuel)
-        }
-        fn unset() -> Val {
-            <FinInterp<'_> as GuardEval>::unset()
-        }
-        fn empty_guard(v: Option<&Val>) -> bool {
-            <FinInterp<'_> as GuardEval>::empty_guard(v)
-        }
-        fn single_guard(v: Option<&Val>) -> Result<bool, RunError> {
-            <FinInterp<'_> as GuardEval>::single_guard(v)
-        }
-        fn finite_guard(v: Option<&Val>) -> Result<bool, RunError> {
-            <FinInterp<'_> as GuardEval>::finite_guard(v)
-        }
-        fn size(v: &Val) -> u64 {
-            <FinInterp<'_> as GuardEval>::size(v)
-        }
-        fn seminaive(&self) -> bool {
-            GuardEval::seminaive(&self.inner)
-        }
-        fn set_seminaive(&mut self, on: bool) {
-            GuardEval::set_seminaive(&mut self.inner, on);
+            self.meter.work(path, size)
         }
     }
 
@@ -740,17 +344,24 @@ mod tests {
         let st = path_graph(16);
         let p = reach(15, false);
         let full = on_off(&st, &p, &fueled(10_000_000), &AtomicBool::new(false)).0;
-        // Raised mid-body on the fifth statement evaluation (the two
-        // entry assignments, then round 1, then round 2's first
-        // statement): the loop stops at the next round head.
+        // Raised mid-body at the fifth assignment (the two entry
+        // assignments, then round 1, then round 2's first statement):
+        // the loop stops at the next round head.
         let flag = AtomicBool::new(false);
-        let mut b = Raiser {
-            inner: FinInterp::new(&st),
+        let budget = fueled(10_000_000);
+        let mut hooks = Raiser {
+            meter: budget.meter(&flag),
             flag: &flag,
-            evals: 0,
+            works: 0,
             n: 5,
         };
-        let r = run_scheduled(&mut b, Dialect::Ql, &p, &fueled(10_000_000), &flag);
+        let r = recdb_qlhs::run(
+            &mut FinInterp::new(&st),
+            &p,
+            &mut Fuel::new(budget.fuel),
+            &mut hooks,
+        );
+        let r = hooks.meter.finish(r);
         assert!(matches!(r.end, ExecEnd::Preempted), "{:?}", r.end);
         assert_eq!(r.iterations, 2, "stopped at the head of round 3");
         assert!(r.iterations < full.iterations);

@@ -11,7 +11,7 @@
 
 use crate::admit::{admit, Admission, AdmitLimits, AdmitOutcome, Plan};
 use crate::cache::{canonicalize_finite, CachedResult, ResultCache};
-use crate::exec::{run_scheduled, Budget, ExecEnd, GuardEval};
+use crate::exec::{run_scheduled, Budget, ExecEnd, ExecResult};
 use crate::http::{read_request, write_response, HttpError, ReadOutcome, Request};
 use crate::json::{esc, parse, Json};
 use crate::proto::{
@@ -21,8 +21,8 @@ use recdb_analyze::{analyze_formula, CostEnv, Diagnostic};
 use recdb_core::{Elem, QueryOutcome, Schema};
 use recdb_hsdb::HsDatabase;
 use recdb_logic::{finite_as_db, LMinusQuery};
-use recdb_qlhs::{Dialect, FcfInterp, FcfVal, FinInterp, HsInterp, Permutation, Val};
-use recdb_vm::{compile, exec_scheduled, verify, LowerOpts, VmBackend, VmBudget, VmEnd, VmProg};
+use recdb_qlhs::{Backend, Dialect, FcfInterp, FcfVal, FinInterp, HsInterp, Permutation, Val};
+use recdb_vm::{compile, exec_scheduled, verify, LowerOpts, VmProg};
 use std::collections::{BTreeMap, HashMap};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -710,14 +710,7 @@ struct Job<'a> {
 /// paths are event-for-event equivalent (same guards, same fuel
 /// ticks, same scheduling ends), so callers never observe which one
 /// ran; a completed semi-naive loop only uses less fuel.
-fn run_admitted<B>(
-    b: &mut B,
-    job: &Job<'_>,
-    shared: &Shared,
-) -> crate::exec::ExecResult<<B as GuardEval>::V>
-where
-    B: GuardEval + VmBackend<V = <B as GuardEval>::V>,
-{
+fn run_admitted<B: Backend>(b: &mut B, job: &Job<'_>, shared: &Shared) -> ExecResult<B::V> {
     let budget = budget_for(&job.adm.plan, shared.cfg.fuel_max, job.work_cap);
     match &job.engine {
         Engine::Vm(_) => recdb_obs::count("serve.vm.runs", 1),
@@ -725,29 +718,9 @@ where
         Engine::Skipped => recdb_obs::count("serve.vm.skipped", 1),
         Engine::Off => {}
     }
-    let Engine::Vm(prog) = &job.engine else {
-        return run_scheduled(b, job.dialect, &job.adm.prog, &budget, &shared.preempt);
-    };
-    let vb = VmBudget {
-        bounds: budget.bounds,
-        total_cap: budget.total_cap,
-        fuel: budget.fuel,
-        work_cap: budget.work_cap,
-    };
-    let r = exec_scheduled(b, prog, &vb, &shared.preempt);
-    let end = match r.end {
-        VmEnd::Done(v) => ExecEnd::Done(v),
-        VmEnd::Errored(e) => ExecEnd::Errored(e),
-        VmEnd::OutOfFuel => ExecEnd::OutOfFuel,
-        VmEnd::Preempted => ExecEnd::Preempted,
-        VmEnd::BoundExceeded { path, bound } => ExecEnd::BoundExceeded { path, bound },
-        VmEnd::TotalExceeded { cap } => ExecEnd::TotalExceeded { cap },
-        VmEnd::WorkExceeded { cap } => ExecEnd::WorkExceeded { cap },
-    };
-    crate::exec::ExecResult {
-        end,
-        iterations: r.iterations,
-        work: r.work,
+    match &job.engine {
+        Engine::Vm(prog) => exec_scheduled(b, prog, &budget, &shared.preempt),
+        _ => run_scheduled(b, job.dialect, &job.adm.prog, &budget, &shared.preempt),
     }
 }
 
@@ -766,11 +739,7 @@ fn transport_val(v: &Val, p: &Permutation, forward: bool) -> Val {
 /// The shared post-execution path for relation-valued backends
 /// (`FinInterp`/`HsInterp`): cache lookup, execution, cache fill, and
 /// response rendering.
-fn serve_rel<B: GuardEval<V = Val> + VmBackend<V = Val>>(
-    b: &mut B,
-    job: &Job<'_>,
-    shared: &Shared,
-) -> (u16, String) {
+fn serve_rel<B: Backend<V = Val>>(b: &mut B, job: &Job<'_>, shared: &Shared) -> (u16, String) {
     let adm = job.adm;
     let mode = &job.mode;
     if let CacheMode::Keyed { key, transport } = mode {

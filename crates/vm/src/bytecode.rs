@@ -14,29 +14,8 @@
 //! verifier reject (or prove harmless) every single-instruction
 //! mutation.
 
-use recdb_qlhs::NodePath;
+use recdb_qlhs::{LoopKind, NodePath};
 use std::fmt;
-
-/// A loop guard predicate, mirroring the three `while` forms.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GuardKind {
-    /// `while |Y| = 0` (all dialects).
-    Empty,
-    /// `while |Y| = 1` (QLhs only).
-    Single,
-    /// `while |Y| < ∞` (QLf⁺ only).
-    Finite,
-}
-
-impl GuardKind {
-    fn name(self) -> &'static str {
-        match self {
-            GuardKind::Empty => "empty",
-            GuardKind::Single => "single",
-            GuardKind::Finite => "finite",
-        }
-    }
-}
 
 /// One bytecode instruction. `dst`/`src`/`a`/`b` are frame registers;
 /// registers `0..nvars` are the program variables' home slots
@@ -158,7 +137,7 @@ pub enum Inst {
         /// The guard variable's home register.
         var: usize,
         /// Which predicate to evaluate.
-        kind: GuardKind,
+        kind: LoopKind,
         /// Jump target when the guard stops the loop.
         exit: usize,
     },
@@ -409,9 +388,9 @@ fn parse_inst(words: &[&str]) -> Result<Inst, String> {
             loop_id: lid(l)?,
             var: reg(v)?,
             kind: match *k {
-                "empty" => GuardKind::Empty,
-                "single" => GuardKind::Single,
-                "finite" => GuardKind::Finite,
+                "empty" => LoopKind::Empty,
+                "single" => LoopKind::Singleton,
+                "finite" => LoopKind::Finite,
                 other => return Err(format!("unknown guard kind `{other}`")),
             },
             exit: tgt(x)?,
@@ -441,7 +420,7 @@ mod tests {
                 Inst::Guard {
                     loop_id: 0,
                     var: 1,
-                    kind: GuardKind::Empty,
+                    kind: LoopKind::Empty,
                     exit: 4,
                 },
                 Inst::E { dst: 0, ticks: 3 },

@@ -15,12 +15,14 @@
 //!    dialect legality, register init-before-use, fuel-tick placement,
 //!    loop certificates, and the §11 cost obligation. Programs execute
 //!    only if the verifier accepts.
-//! 3. [`exec::exec_plain`] and [`exec::exec_scheduled`] run accepted
-//!    programs over any [`exec::VmBackend`] (the three interpreters'
-//!    value domains), reproducing the tree-walkers' results, fuel
-//!    accounting, and scheduling events exactly — on any obstruction
-//!    or rejection the caller falls back to the tree-walker and the
-//!    difference is unobservable.
+//! 3. [`exec::exec_hooked`] runs accepted programs over any
+//!    [`recdb_qlhs::Backend`] (the three interpreters' value domains)
+//!    under the statement executor's [`recdb_qlhs::Hooks`],
+//!    reproducing the tree executor's results, fuel accounting, and
+//!    scheduling events exactly; [`exec::exec_plain`] and
+//!    [`exec::exec_scheduled`] are its plain and budgeted forms. On any
+//!    obstruction or rejection the caller falls back to the tree
+//!    executor and the difference is unobservable.
 
 #![warn(missing_docs)]
 
@@ -29,7 +31,7 @@ pub mod exec;
 pub mod lower;
 pub mod verify;
 
-pub use bytecode::{GuardKind, Inst, LoopMeta, VmProg};
-pub use exec::{exec_plain, exec_scheduled, VmBackend, VmBudget, VmEnd, VmRun};
+pub use bytecode::{Inst, LoopMeta, VmProg};
+pub use exec::{exec_hooked, exec_plain, exec_scheduled, VmBackend, VmBudget, VmEnd};
 pub use lower::{compile, LowerOpts, Obstruction, ObstructionKind};
 pub use verify::{verify, Rejection, VerifyReport};

@@ -43,11 +43,11 @@
 //! (no instructions, ticks folded into the next one) only when the
 //! store is provably dead, tick-free, and error-free.
 
-use crate::bytecode::{GuardKind, Inst, VmProg};
+use crate::bytecode::{Inst, VmProg};
 use recdb_analyze::TerminationAnalysis;
 use recdb_analyze::{analyze_dataflow, Bound, CostEnv, CostVerdict, LoopBound, Poly};
 use recdb_core::Schema;
-use recdb_qlhs::{Dialect, NodePath, Prog, Term};
+use recdb_qlhs::{Dialect, LoopKind, NodePath, Prog, Term};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -866,14 +866,14 @@ impl Verify<'_> {
             | Prog::WhileSingleton(v, body)
             | Prog::WhileFinite(v, body) => {
                 let kind = match p {
-                    Prog::WhileEmpty(..) => GuardKind::Empty,
-                    Prog::WhileSingleton(..) => GuardKind::Single,
-                    _ => GuardKind::Finite,
+                    Prog::WhileEmpty(..) => LoopKind::Empty,
+                    Prog::WhileSingleton(..) => LoopKind::Singleton,
+                    _ => LoopKind::Finite,
                 };
                 match (kind, self.dialect) {
-                    (GuardKind::Empty, _)
-                    | (GuardKind::Single, Dialect::Qlhs)
-                    | (GuardKind::Finite, Dialect::QlfPlus) => {}
+                    (LoopKind::Empty, _)
+                    | (LoopKind::Singleton, Dialect::Qlhs)
+                    | (LoopKind::Finite, Dialect::QlfPlus) => {}
                     _ => return Err(format!("{kind:?} guard is illegal in {:?}", self.dialect)),
                 }
                 let loop_id = self.next_loop;
@@ -919,7 +919,7 @@ impl Verify<'_> {
         }
     }
 
-    fn expect_guard(&mut self, loop_id: usize, v: usize, kind: GuardKind) -> Result<usize, String> {
+    fn expect_guard(&mut self, loop_id: usize, v: usize, kind: LoopKind) -> Result<usize, String> {
         match self.fetch()? {
             Inst::Guard {
                 loop_id: id,
@@ -954,7 +954,7 @@ impl Verify<'_> {
     fn walk_peeled(
         &mut self,
         v: usize,
-        kind: GuardKind,
+        kind: LoopKind,
         body: &Prog,
         b: u64,
         loop_id: usize,
@@ -1014,7 +1014,7 @@ impl Verify<'_> {
     fn walk_backedge(
         &mut self,
         v: usize,
-        kind: GuardKind,
+        kind: LoopKind,
         body: &Prog,
         loop_id: usize,
         path: &mut NodePath,

@@ -12,9 +12,11 @@ use recdb_core::{CoFiniteRelation, FiniteRelation};
 use recdb_core::{Elem, FiniteStructure, Fuel, Tuple};
 use recdb_hsdb::{FcfDatabase, FcfRel, FnEquiv, FnTree, HsDatabase};
 use recdb_logic::finite_as_db;
-use recdb_qlhs::{Dialect, FcfInterp, FinInterp, HsInterp, Prog, Term};
+use recdb_qlhs::{
+    run, Budget, Dialect, ExecEnd, FcfInterp, FinInterp, HsInterp, Meter, NoHooks, Prog, Term, Val,
+};
 use recdb_vm::{
-    compile, exec_plain, exec_scheduled, verify, Inst, LowerOpts, ObstructionKind, VmBudget, VmEnd,
+    compile, exec_hooked, exec_plain, exec_scheduled, verify, Inst, LowerOpts, ObstructionKind,
     VmProg,
 };
 use std::collections::BTreeMap;
@@ -390,7 +392,7 @@ fn scheduled_run_reports_the_counted_executor_events() {
     let no_bounds = BTreeMap::new();
 
     // Done, with iteration and work accounting.
-    let budget = VmBudget {
+    let budget = Budget {
         bounds: &no_bounds,
         total_cap: 100,
         fuel: 10_000,
@@ -401,7 +403,7 @@ fn scheduled_run_reports_the_counted_executor_events() {
     tree.set_seminaive(false);
     let want = tree.run(&p, &mut Fuel::new(10_000)).unwrap();
     match r.end {
-        VmEnd::Done(v) => assert_eq!(v, want),
+        ExecEnd::Done(v) => assert_eq!(v, want),
         other => panic!("expected Done, got {other:?}"),
     }
     assert_eq!(r.iterations, 1);
@@ -409,14 +411,14 @@ fn scheduled_run_reports_the_counted_executor_events() {
 
     // A proved per-loop bound of 0 trips first.
     let bounds: BTreeMap<Vec<u32>, u64> = [(vec![1u32], 0u64)].into_iter().collect();
-    let budget = VmBudget {
+    let budget = Budget {
         bounds: &bounds,
         total_cap: 100,
         fuel: 10_000,
         work_cap: None,
     };
     match exec_scheduled(&mut FinInterp::new(&st), &vm, &budget, &quiet).end {
-        VmEnd::BoundExceeded { path, bound } => {
+        ExecEnd::BoundExceeded { path, bound } => {
             assert_eq!(path, vec![1]);
             assert_eq!(bound, 0);
         }
@@ -424,45 +426,45 @@ fn scheduled_run_reports_the_counted_executor_events() {
     }
 
     // Then the total cap, the work cap, preemption, and fuel.
-    let budget = VmBudget {
+    let budget = Budget {
         bounds: &no_bounds,
         total_cap: 0,
         fuel: 10_000,
         work_cap: None,
     };
     match exec_scheduled(&mut FinInterp::new(&st), &vm, &budget, &quiet).end {
-        VmEnd::TotalExceeded { cap: 0 } => {}
+        ExecEnd::TotalExceeded { cap: 0 } => {}
         other => panic!("expected TotalExceeded, got {other:?}"),
     }
-    let budget = VmBudget {
+    let budget = Budget {
         bounds: &no_bounds,
         total_cap: 100,
         fuel: 10_000,
         work_cap: Some(0),
     };
     match exec_scheduled(&mut FinInterp::new(&st), &vm, &budget, &quiet).end {
-        VmEnd::WorkExceeded { cap: 0 } => {}
+        ExecEnd::WorkExceeded { cap: 0 } => {}
         other => panic!("expected WorkExceeded, got {other:?}"),
     }
     let stop = AtomicBool::new(true);
-    let budget = VmBudget {
+    let budget = Budget {
         bounds: &no_bounds,
         total_cap: 100,
         fuel: 10_000,
         work_cap: None,
     };
     match exec_scheduled(&mut FinInterp::new(&st), &vm, &budget, &stop).end {
-        VmEnd::Preempted => {}
+        ExecEnd::Preempted => {}
         other => panic!("expected Preempted, got {other:?}"),
     }
-    let budget = VmBudget {
+    let budget = Budget {
         bounds: &no_bounds,
         total_cap: 100,
         fuel: 1,
         work_cap: None,
     };
     match exec_scheduled(&mut FinInterp::new(&st), &vm, &budget, &quiet).end {
-        VmEnd::OutOfFuel => {}
+        ExecEnd::OutOfFuel => {}
         other => panic!("expected OutOfFuel, got {other:?}"),
     }
 }
@@ -475,5 +477,124 @@ fn dump_round_trips_through_the_parser() {
         let dump = vm.dump();
         let back = recdb_vm::VmProg::parse_dump(&dump).expect("dump parses");
         assert_eq!(back, vm, "round trip\n{dump}");
+    }
+}
+
+fn path_graph(n: u64) -> FiniteStructure {
+    FiniteStructure::undirected_graph(0..n, (0..n - 1).map(|i| (i, i + 1)))
+}
+
+fn grid_graph(w: u64) -> FiniteStructure {
+    let edges = (0..w * w).flat_map(|v| {
+        let right = (v % w + 1 < w).then_some((v, v + 1));
+        let down = (v + w < w * w).then_some((v, v + w));
+        right.into_iter().chain(down)
+    });
+    FiniteStructure::undirected_graph(0..w * w, edges)
+}
+
+/// Single-source reach from 0 until `last` is reached, as a
+/// semi-naive-eligible loop: `Y2 := C0; Y3 := C0 ∩ C1;
+/// while |Y3|=0 { Y2 ∪= succ(Y2); Y3 ∪= Y2 ∩ C_last }; Y1 := Y2`.
+fn reach(last: u64) -> Prog {
+    let union = |v: usize, s: Term| Prog::Assign(v, Term::Var(v).union(s));
+    let succ = down(and(up(Term::Var(1)), Term::Rel(0)));
+    Prog::Seq(vec![
+        Prog::Assign(1, Term::Const(0)),
+        Prog::Assign(2, and(Term::Const(0), Term::Const(1))),
+        Prog::WhileEmpty(
+            2,
+            Box::new(Prog::Seq(vec![
+                union(1, succ),
+                union(2, and(Term::Var(1), Term::Const(last))),
+            ])),
+        ),
+        Prog::Assign(0, Term::Var(1)),
+    ])
+}
+
+/// The budget meter adds no fuel ticks: under an unbounded budget it
+/// gives the same value or error as `NoHooks`, with the same fuel
+/// left, on the tree executor (semi-naive on and off) and on the VM's
+/// instruction loop.
+#[test]
+fn the_budget_meter_adds_no_fuel_ticks() {
+    let no_bounds = BTreeMap::new();
+    let quiet = AtomicBool::new(false);
+    let unbounded = |fuel| Budget {
+        bounds: &no_bounds,
+        total_cap: u64::MAX,
+        fuel,
+        work_cap: None,
+    };
+    let divergent = Prog::Seq(vec![
+        Prog::Assign(0, Term::E),
+        Prog::WhileEmpty(1, Box::new(Prog::Assign(2, Term::E))),
+    ]);
+    // `(Y1 ∩ Y1) ∩ ↑Y2` with `Y2 := ↓E`; the VM half retargets the
+    // first `∩` at `Y2`'s register, a rank mismatch the verifier would
+    // refuse but the instruction loop still has to report.
+    let mismatch = Prog::Seq(vec![
+        Prog::Assign(0, Term::E),
+        Prog::Assign(1, down(Term::E)),
+        Prog::Assign(0, and(Term::Var(0), Term::Var(0))),
+        Prog::Assign(0, and(Term::Var(0), up(Term::Var(1)))),
+    ]);
+    let tree_mismatch = Prog::Assign(0, and(Term::E, down(Term::E)));
+    let cases = [
+        (path_graph(12), reach(11), reach(11), 1_000_000),
+        (grid_graph(4), reach(15), reach(15), 1_000_000),
+        (path_graph(4), divergent.clone(), divergent, 5_000),
+        (path_graph(4), tree_mismatch, mismatch, 1_000),
+    ];
+    for (i, (st, tree_p, vm_p, fuel)) in cases.iter().enumerate() {
+        let budget = unbounded(*fuel);
+        for seminaive in [true, false] {
+            let mut b = FinInterp::new(st);
+            b.set_seminaive(seminaive);
+            let mut plain_fuel = Fuel::new(*fuel);
+            let plain = run(&mut b, tree_p, &mut plain_fuel, &mut NoHooks);
+            let mut b = FinInterp::new(st);
+            b.set_seminaive(seminaive);
+            let mut metered_fuel = Fuel::new(*fuel);
+            let mut meter: Meter<'_, Val> = budget.meter(&quiet);
+            let metered = run(&mut b, tree_p, &mut metered_fuel, &mut meter);
+            assert_eq!(plain.map_err(ExecEnd::from), metered, "tree case {i}");
+            assert_eq!(
+                plain_fuel.remaining(),
+                metered_fuel.remaining(),
+                "tree case {i} fuel"
+            );
+        }
+        let mut vm = compiled(vm_p, st.schema(), Dialect::Ql);
+        if i == 3 {
+            let first_and = vm.code.iter_mut().find(|x| matches!(x, Inst::And { .. }));
+            let Some(Inst::And { b, .. }) = first_and else {
+                panic!("no ∩ instruction\n{vm}");
+            };
+            *b = 1;
+        }
+        let mut plain_fuel = Fuel::new(*fuel);
+        let plain = exec_plain(&mut FinInterp::new(st), &vm, &mut plain_fuel);
+        let mut metered_fuel = Fuel::new(*fuel);
+        let mut meter: Meter<'_, Val> = budget.meter(&quiet);
+        let metered = exec_hooked(&mut FinInterp::new(st), &vm, &mut metered_fuel, &mut meter);
+        assert_eq!(plain.map_err(ExecEnd::from), metered, "vm case {i}\n{vm}");
+        assert_eq!(
+            plain_fuel.remaining(),
+            metered_fuel.remaining(),
+            "vm case {i} fuel"
+        );
+        match i {
+            2 => assert_eq!(metered, Err(ExecEnd::OutOfFuel)),
+            3 => assert!(
+                matches!(
+                    metered,
+                    Err(ExecEnd::Errored(recdb_qlhs::RunError::RankMismatch { .. }))
+                ),
+                "{metered:?}"
+            ),
+            _ => assert!(metered.is_ok(), "{metered:?}"),
+        }
     }
 }

@@ -53,7 +53,7 @@ fn main() {
 
     // QLf+ queries. "Flagged users who may still message someone":
     // finite ∩ projection of a co-finite = finite.
-    let interp = FcfInterp::new(&db);
+    let mut interp = FcfInterp::new(&db);
     let prog = parse_program(
         "
         Y2 := down(swap(R2));  // users that can be messaged by someone… projected
@@ -81,9 +81,7 @@ fn main() {
     )
     .unwrap();
     let mut env = Vec::new();
-    interp
-        .exec(&prog, &mut env, &mut Fuel::new(100_000))
-        .unwrap();
+    recdb_qlhs::exec(&mut interp, &prog, &mut env, &mut Fuel::new(100_000)).unwrap();
     println!(
         "\nafter `while finite(Y1) {{ Y1 := !Y1; }}`: co-finite reached in {} flip(s)",
         env[2].rank

@@ -35,9 +35,8 @@ fn main() {
     let clique = infinite_clique();
     let mut interp = HsInterp::new(&clique);
     for n in 0..4 {
-        let val = interp
-            .eval_term(&numeral(n), &[], &mut Fuel::new(100_000))
-            .unwrap();
+        let val =
+            recdb_qlhs::eval_term(&mut interp, &numeral(n), &[], &mut Fuel::new(100_000)).unwrap();
         println!(
             "numeral({n}): rank {} with {} representatives",
             val.rank,
@@ -61,9 +60,13 @@ fn main() {
         .assemble();
     let cc = compile_counter(&mult, &[3, 2]).unwrap();
     let mut env: Vec<Val> = Vec::new();
-    HsInterp::new(&clique)
-        .exec(&cc.prog, &mut env, &mut Fuel::new(50_000_000))
-        .unwrap();
+    recdb_qlhs::exec(
+        &mut HsInterp::new(&clique),
+        &cc.prog,
+        &mut env,
+        &mut Fuel::new(50_000_000),
+    )
+    .unwrap();
     println!(
         "\n3 × 2 computed by a QLhs program: rank {} (the number!)",
         env[cc.reg_var(2)].rank

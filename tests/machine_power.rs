@@ -76,8 +76,7 @@ fn compiled_gcd_agrees_with_native_on_multiple_databases() {
         ] {
             let mut interp = HsInterp::new(&hs);
             let mut env: Vec<Val> = Vec::new();
-            interp
-                .exec(&cc.prog, &mut env, &mut Fuel::new(20_000_000))
+            recdb_qlhs::exec(&mut interp, &cc.prog, &mut env, &mut Fuel::new(20_000_000))
                 .expect("compiled gcd runs");
             assert_eq!(
                 env[cc.reg_var(0)].rank as u64,
@@ -148,9 +147,7 @@ fn compiled_program_runs_identically_under_reruns() {
     for _ in 0..2 {
         let mut interp = HsInterp::new(&hs);
         let mut env: Vec<Val> = Vec::new();
-        interp
-            .exec(&cc.prog, &mut env, &mut Fuel::new(20_000_000))
-            .unwrap();
+        recdb_qlhs::exec(&mut interp, &cc.prog, &mut env, &mut Fuel::new(20_000_000)).unwrap();
         results.push(env[cc.reg_var(0)].clone());
     }
     assert_eq!(results[0], results[1]);
